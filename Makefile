@@ -3,14 +3,14 @@
 GO ?= go
 
 # PR stamps the bench capture file: `make bench PR=7` writes
-# BENCH_PR8.json (also settable via the PR environment variable).
+# BENCH_PR7.json (also settable via the PR environment variable).
 PR ?= 8
 
 # Benchmarks captured by `make bench` into BENCH_PR$(PR).json. Fig1 runs
 # first so the figure benches that follow measure the warm-trace-cache
 # path (the deployment steady state); the micro benches isolate the
-# synthesis, replay, and cache-lookup stages.
-BENCHES = BenchmarkFig1$$|BenchmarkFig12$$|BenchmarkFig12SampledS1$$|BenchmarkFig12ExactQuarter$$|BenchmarkFig15$$|BenchmarkTraceGeneration$$|BenchmarkTraceGenerationPacked$$|BenchmarkLLCAccessDRRIP$$|BenchmarkLLCAccessDRRIPPacked$$|BenchmarkLLCAccessDRRIPSampled$$|BenchmarkTraceCacheWarm$$
+# synthesis, replay, timing-model, and cache-lookup stages.
+BENCHES = BenchmarkFig1$$|BenchmarkFig12$$|BenchmarkFig12SampledS1$$|BenchmarkFig12ExactQuarter$$|BenchmarkFig15$$|BenchmarkTraceGeneration$$|BenchmarkTraceGenerationPacked$$|BenchmarkLLCAccessDRRIP$$|BenchmarkLLCAccessDRRIPPacked$$|BenchmarkLLCAccessDRRIPSampled$$|BenchmarkGPUSimulate$$|BenchmarkTraceCacheWarm$$
 
 # bench-capture pipes through a prebuilt benchjson ($(BENCHJSON)) when
 # one is given — CI builds the tool once from the PR head, then benches

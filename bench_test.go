@@ -413,18 +413,20 @@ func BenchmarkLLCAccessDRRIPSampled(b *testing.B) {
 	b.ReportMetric(float64(tr.Len()), "accesses/op")
 }
 
-// BenchmarkGPUSimulate measures the event-driven timing simulator.
+// BenchmarkGPUSimulate measures the event-driven timing simulator over
+// the packed trace the harness hands it.
 func BenchmarkGPUSimulate(b *testing.B) {
-	tr := benchTrace(b)
+	tr := benchPacked(b)
 	cfg := gpu.DefaultConfig(cachesim.Geometry{SizeBytes: 256 << 10, Ways: 16, BlockSize: 64})
 	cfg.UncachedDisplay = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := gpu.Simulate(tr, cfg, policy.NewDRRIP(2))
+		r := gpu.SimulateSource(tr, cfg, policy.NewDRRIP(2))
 		if r.Cycles == 0 {
 			b.Fatal("no cycles simulated")
 		}
 	}
+	b.ReportMetric(float64(tr.Len()), "accesses/op")
 }
 
 // BenchmarkXRand measures the workload PRNG.

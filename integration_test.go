@@ -42,7 +42,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 		}
 		cfg := gpu.DefaultConfig(itGeom())
 		cfg.Cores = 8
-		r := gpu.Simulate(tr, cfg, policy.NewDRRIP(2))
+		r := gpu.SimulateSource(stream.Pack(tr), cfg, policy.NewDRRIP(2))
 		return c.Stats.Misses, r.Cycles
 	}
 	m1, cy1 := run()
@@ -85,7 +85,7 @@ func TestBeladyLowerBoundsOnRealTrace(t *testing.T) {
 func TestTimingAndOfflineAgreeOnVolume(t *testing.T) {
 	tr := itTrace(t, 30)
 	cfg := gpu.DefaultConfig(itGeom())
-	r := gpu.Simulate(tr, cfg, policy.NewDRRIP(2))
+	r := gpu.SimulateSource(stream.Pack(tr), cfg, policy.NewDRRIP(2))
 	if r.LLC.Accesses != int64(len(tr)) {
 		t.Errorf("timing model LLC saw %d accesses, trace has %d", r.LLC.Accesses, len(tr))
 	}
@@ -106,7 +106,7 @@ func TestTimingAndOfflineAgreeOnVolume(t *testing.T) {
 func TestDRAMTrafficMatchesMissesAndWritebacks(t *testing.T) {
 	tr := itTrace(t, 40)
 	cfg := gpu.DefaultConfig(itGeom())
-	r := gpu.Simulate(tr, cfg, policy.NewDRRIP(2))
+	r := gpu.SimulateSource(stream.Pack(tr), cfg, policy.NewDRRIP(2))
 	fills := r.LLC.Misses - r.LLC.Bypasses
 	if r.DRAM.Reads > r.LLC.Misses {
 		t.Errorf("DRAM reads %d exceed LLC misses %d", r.DRAM.Reads, r.LLC.Misses)

@@ -20,8 +20,8 @@
 package gpu
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 
 	"gspc/internal/cachesim"
 	"gspc/internal/dram"
@@ -115,44 +115,13 @@ type Result struct {
 	Accesses int64
 }
 
-type event struct {
-	t      int64
-	thread int32
-	seq    int64 // tie-break for determinism
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// Simulate renders one frame (its LLC access trace) on the configured
-// GPU with the given LLC replacement policy and returns the timing
-// result. The policy's state is reset by the embedded cache model.
-func Simulate(tr []stream.Access, cfg Config, pol cachesim.Policy) Result {
-	return SimulateSource(stream.Slice(tr), cfg, pol)
-}
-
-// SimulateSource is Simulate over any positional trace view, most
-// importantly the packed stream.Trace shared by the frame-trace cache.
-// Threads read the trace positionally (chunk-interleaved), so the view
-// is only ever indexed — never mutated — and one packed trace can feed
-// any number of concurrent simulations.
-func SimulateSource(tr stream.Source, cfg Config, pol cachesim.Policy) Result {
+// SimulateSource renders one frame — its packed LLC access trace — on
+// the configured GPU with the given LLC replacement policy and returns
+// the timing result. The policy's state is reset by the embedded cache
+// model. Threads read the trace positionally (chunk-interleaved), so the
+// trace is only ever indexed — never mutated — and one packed trace can
+// feed any number of concurrent simulations.
+func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 	if cfg.Cores <= 0 || cfg.ThreadsPerCore <= 0 {
 		panic(fmt.Sprintf("gpu: invalid shader array %dx%d", cfg.Cores, cfg.ThreadsPerCore))
 	}
@@ -180,7 +149,7 @@ func SimulateSource(tr stream.Source, cfg Config, pol cachesim.Policy) Result {
 	// instead of receiving data at the LLC pipeline latency; a second
 	// miss merges rather than issuing a duplicate DRAM fetch. Entries
 	// whose fill has completed are lazily reclaimed.
-	mshr := make(map[uint64]int64, 1024)
+	mshr := newMSHRTable()
 
 	// The LLC's downstream is DRAM: demand fetches and writebacks are
 	// issued at the simulation time of the access that triggered them.
@@ -192,24 +161,21 @@ func SimulateSource(tr stream.Source, cfg Config, pol cachesim.Policy) Result {
 			return
 		}
 		bn := a.Addr >> 6
-		if done, ok := mshr[bn]; ok && done > now {
+		if done, ok := mshr.get(bn); ok && done > now {
 			lastFill = done // merge with the in-flight fill
 			return
 		}
 		done := mem.Access(a.Addr, now, false)
-		mshr[bn] = done
+		mshr.put(bn, done)
 		lastFill = done
-		if len(mshr) > 4096 {
-			for k, d := range mshr {
-				if d <= now {
-					delete(mshr, k)
-				}
-			}
+		if mshr.n > mshrSweepAt {
+			mshr.sweep(now)
 		}
 	})
 
+	addrs, meta := tr.Records()
 	nThreads := cfg.Cores * cfg.ThreadsPerCore
-	nChunks := (tr.Len() + cfg.ChunkSize - 1) / cfg.ChunkSize
+	nChunks := (len(addrs) + cfg.ChunkSize - 1) / cfg.ChunkSize
 
 	// Thread k owns chunks k, k+T, k+2T, ... ; pos tracks each thread's
 	// place within its current chunk.
@@ -231,22 +197,25 @@ func SimulateSource(tr stream.Source, cfg Config, pol cachesim.Policy) Result {
 	var seq int64
 	for t := 0; t < nThreads && t < nChunks; t++ {
 		chunkOf[t] = t
-		h = append(h, event{t: 0, thread: int32(t), seq: seq})
+		h = append(h, event{t: 0, seq: seq, thread: int32(t)})
 		seq++
 	}
-	heap.Init(&h)
+	h.init()
 
+	// Each iteration serves the earliest event at the root of the heap.
+	// A thread with work left is rescheduled by overwriting the root in
+	// place and sifting it down; a retiring thread's event is popped.
 	var cycles int64
 	var accesses int64
-	for h.Len() > 0 {
-		ev := heap.Pop(&h).(event)
+	for len(h) > 0 {
+		ev := h[0]
 		th := int(ev.thread)
 
 		// Fetch the thread's next access, advancing through its chunks.
 		pos := -1
 		for chunkOf[th] < nChunks {
 			p := chunkOf[th]*cfg.ChunkSize + idx[th]
-			if idx[th] < cfg.ChunkSize && p < tr.Len() {
+			if idx[th] < cfg.ChunkSize && p < len(addrs) {
 				pos = p
 				break
 			}
@@ -257,9 +226,11 @@ func SimulateSource(tr stream.Source, cfg Config, pol cachesim.Policy) Result {
 			if ev.t > cycles {
 				cycles = ev.t
 			}
-			continue // thread retires
+			h.pop() // thread retires
+			continue
 		}
-		a := tr.At(pos)
+		kind, write := stream.UnpackMeta(meta[pos])
+		a := stream.Access{Addr: addrs[pos], Seq: int64(pos), Kind: kind, Write: write}
 		idx[th]++
 		accesses++
 
@@ -296,7 +267,7 @@ func SimulateSource(tr stream.Source, cfg Config, pol cachesim.Policy) Result {
 		if hit && !a.Write {
 			// A hit on a block whose demand fill is still in flight
 			// (secondary miss) delivers data when the fill lands.
-			if fd, ok := mshr[a.Addr>>6]; ok && fd > done {
+			if fd, ok := mshr.get(a.Addr >> 6); ok && fd > done {
 				done = fd
 			}
 		}
@@ -310,8 +281,9 @@ func SimulateSource(tr stream.Source, cfg Config, pol cachesim.Policy) Result {
 		if done > cycles {
 			cycles = done
 		}
-		heap.Push(&h, event{t: resume, thread: int32(th), seq: seq})
+		h[0] = event{t: resume, seq: seq, thread: int32(th)}
 		seq++
+		h.down(0)
 	}
 
 	fps := 0.0
@@ -333,9 +305,162 @@ func SimulateSource(tr stream.Source, cfg Config, pol cachesim.Policy) Result {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// event is one thread's next wake-up. seq is unique, so (t, seq)
+// orders events totally: the order events leave the heap does not
+// depend on the heap's shape, and ties in t go to the earlier-scheduled
+// thread.
+type event struct {
+	t      int64
+	seq    int64
+	thread int32
+}
+
+func (e event) before(o event) bool {
+	return e.t < o.t || e.t == o.t && e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events ordered by (t, seq). It holds
+// events by value, so scheduling allocates nothing.
+type eventHeap []event
+
+// init establishes the heap order over arbitrary contents.
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	return b
+}
+
+// down restores the heap order after h[i] moved later.
+func (h eventHeap) down(i int) {
+	e := h[i]
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
+}
+
+// pop removes the root.
+func (h *eventHeap) pop() {
+	old := *h
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
+	if n > 0 {
+		h.down(0)
+	}
+}
+
+// mshrSweepAt is the MSHR occupancy above which an insertion reclaims
+// every entry whose fill has completed by the current time. The
+// simulation time of successive DRAM requests is not monotonic — it
+// includes each thread's own compute gap — so an entry reclaimed at a
+// sweep could still have been "in flight" for a later, earlier-timed
+// lookup. Which entries exist is therefore part of the model: the sweep
+// points and their cut-off are fixed, not a tuning knob.
+const mshrSweepAt = 4096
+
+// mshrSlot is one MSHR entry. key is the block number plus one, so the
+// zero slot is free and a fresh or cleared array is an empty table.
+type mshrSlot struct {
+	key  uint64
+	done int64
+}
+
+// mshrTable maps block numbers to demand-fill completion times. It is an
+// open-addressed hash table with linear probing that behaves exactly as
+// a map[uint64]int64 would under get, put (insert or overwrite) and
+// sweep (delete every entry done by a time). Sweeps and growth rebuild
+// the live entries into the second slot array and swap the two, so no
+// tombstones accumulate and steady-state operation allocates nothing.
+type mshrTable struct {
+	slots []mshrSlot // power-of-two length, at most 3/4 full
+	spare []mshrSlot // rebuild target; same length as slots once used
+	shift uint       // 64 - log2(len(slots)), for Fibonacci hashing
+	n     int        // live entries
+}
+
+// mshrInitialSlots is the initial slot count, a power of two that holds
+// a full table (mshrSweepAt entries) at half load.
+const mshrInitialSlots = 1 << 13
+
+func newMSHRTable() *mshrTable {
+	m := &mshrTable{}
+	m.setSlots(make([]mshrSlot, mshrInitialSlots))
+	return m
+}
+
+// setSlots makes slots the live array and derives its hash shift.
+func (m *mshrTable) setSlots(slots []mshrSlot) {
+	m.slots = slots
+	m.shift = 64
+	for l := len(slots); l > 1; l >>= 1 {
+		m.shift--
+	}
+}
+
+// slot returns the slot holding key, or the free slot where the probe
+// for key ends.
+func (m *mshrTable) slot(key uint64) *mshrSlot {
+	mask := uint64(len(m.slots) - 1)
+	for i := (key * 0x9e3779b97f4a7c15) >> m.shift; ; i = (i + 1) & mask {
+		if s := &m.slots[i]; s.key == key || s.key == 0 {
+			return s
+		}
+	}
+}
+
+// get returns the fill time recorded for block, if any.
+func (m *mshrTable) get(block uint64) (int64, bool) {
+	s := m.slot(block + 1)
+	return s.done, s.key != 0
+}
+
+// put records done as block's fill time, replacing any earlier entry.
+func (m *mshrTable) put(block uint64, done int64) {
+	s := m.slot(block + 1)
+	if s.key == 0 {
+		s.key = block + 1
+		m.n++
+	}
+	s.done = done
+	if 4*m.n > 3*len(m.slots) {
+		m.rebuild(2*len(m.slots), math.MinInt64)
+	}
+}
+
+// sweep deletes every entry whose fill completed at or before now.
+func (m *mshrTable) sweep(now int64) {
+	m.rebuild(len(m.slots), now)
+}
+
+// rebuild moves the entries with done > keepAfter into the spare array,
+// sized to size slots, and makes it the live one.
+func (m *mshrTable) rebuild(size int, keepAfter int64) {
+	old := m.slots
+	if len(m.spare) == size {
+		clear(m.spare)
+	} else {
+		m.spare = make([]mshrSlot, size)
+	}
+	m.setSlots(m.spare)
+	m.spare = old
+	m.n = 0
+	for _, s := range old {
+		if s.key != 0 && s.done > keepAfter {
+			*m.slot(s.key) = s
+			m.n++
+		}
+	}
 }

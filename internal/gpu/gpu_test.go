@@ -31,7 +31,7 @@ func mkTrace(n, distinct int, kind stream.Kind) []stream.Access {
 
 func TestSimulateProcessesAllAccesses(t *testing.T) {
 	tr := mkTrace(5000, 700, stream.Texture)
-	r := Simulate(tr, smallConfig(), policy.NewDRRIP(2))
+	r := SimulateSource(stream.Pack(tr), smallConfig(), policy.NewDRRIP(2))
 	if r.Accesses != int64(len(tr)) {
 		t.Errorf("processed %d accesses, want %d", r.Accesses, len(tr))
 	}
@@ -44,7 +44,7 @@ func TestSimulateProcessesAllAccesses(t *testing.T) {
 }
 
 func TestEmptyTrace(t *testing.T) {
-	r := Simulate(nil, smallConfig(), policy.NewDRRIP(2))
+	r := SimulateSource(stream.NewTrace(0), smallConfig(), policy.NewDRRIP(2))
 	if r.Accesses != 0 {
 		t.Errorf("accesses = %d", r.Accesses)
 	}
@@ -52,7 +52,7 @@ func TestEmptyTrace(t *testing.T) {
 
 func TestShortTraceFewerChunksThanThreads(t *testing.T) {
 	tr := mkTrace(10, 10, stream.Z)
-	r := Simulate(tr, smallConfig(), policy.NewDRRIP(2))
+	r := SimulateSource(stream.Pack(tr), smallConfig(), policy.NewDRRIP(2))
 	if r.Accesses != 10 {
 		t.Errorf("processed %d of 10", r.Accesses)
 	}
@@ -60,8 +60,8 @@ func TestShortTraceFewerChunksThanThreads(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	tr := mkTrace(20000, 3000, stream.RT)
-	a := Simulate(tr, smallConfig(), policy.NewDRRIP(2))
-	b := Simulate(tr, smallConfig(), policy.NewDRRIP(2))
+	a := SimulateSource(stream.Pack(tr), smallConfig(), policy.NewDRRIP(2))
+	b := SimulateSource(stream.Pack(tr), smallConfig(), policy.NewDRRIP(2))
 	if a.Cycles != b.Cycles || a.LLC.Misses != b.LLC.Misses {
 		t.Errorf("nondeterministic: %d/%d vs %d/%d cycles/misses", a.Cycles, a.LLC.Misses, b.Cycles, b.LLC.Misses)
 	}
@@ -72,8 +72,8 @@ func TestMoreMissesMoreCycles(t *testing.T) {
 	// must take longer.
 	fits := mkTrace(30000, 256, stream.Texture)    // 16 KB working set
 	thrash := mkTrace(30000, 8192, stream.Texture) // 512 KB working set in a 64 KB LLC
-	rf := Simulate(fits, smallConfig(), policy.NewLRU())
-	rt := Simulate(thrash, smallConfig(), policy.NewLRU())
+	rf := SimulateSource(stream.Pack(fits), smallConfig(), policy.NewLRU())
+	rt := SimulateSource(stream.Pack(thrash), smallConfig(), policy.NewLRU())
 	if rf.LLC.Misses >= rt.LLC.Misses {
 		t.Fatalf("setup broken: fits misses %d >= thrash misses %d", rf.LLC.Misses, rt.LLC.Misses)
 	}
@@ -89,7 +89,7 @@ func TestUncachedDisplayBypasses(t *testing.T) {
 	tr := mkTrace(5000, 500, stream.Display)
 	cfg := smallConfig()
 	cfg.UncachedDisplay = true
-	r := Simulate(tr, cfg, policy.NewDRRIP(2))
+	r := SimulateSource(stream.Pack(tr), cfg, policy.NewDRRIP(2))
 	if r.LLC.Bypasses != r.LLC.Misses {
 		t.Errorf("display accesses should all bypass: %d bypasses, %d misses", r.LLC.Bypasses, r.LLC.Misses)
 	}
@@ -102,7 +102,7 @@ func TestWritebacksReachDRAM(t *testing.T) {
 	for i := range tr {
 		tr[i] = stream.Access{Addr: uint64(i%4096) * 64, Kind: stream.RT, Write: true}
 	}
-	r := Simulate(tr, smallConfig(), policy.NewLRU())
+	r := SimulateSource(stream.Pack(tr), smallConfig(), policy.NewLRU())
 	if r.DRAM.Writes == 0 {
 		t.Error("no writebacks reached DRAM")
 	}
@@ -113,8 +113,8 @@ func TestFewerThreadsSlower(t *testing.T) {
 	big := smallConfig()
 	small := smallConfig()
 	small.Cores = 1
-	rb := Simulate(tr, big, policy.NewDRRIP(2))
-	rs := Simulate(tr, small, policy.NewDRRIP(2))
+	rb := SimulateSource(stream.Pack(tr), big, policy.NewDRRIP(2))
+	rs := SimulateSource(stream.Pack(tr), small, policy.NewDRRIP(2))
 	if rs.Cycles <= rb.Cycles {
 		t.Errorf("1-core GPU should be slower: %d vs %d", rs.Cycles, rb.Cycles)
 	}
@@ -124,7 +124,7 @@ func TestComputeGapDefaultsApplied(t *testing.T) {
 	cfg := smallConfig()
 	cfg.ComputeGap = [stream.NumKinds]int{} // all zero -> defaults
 	tr := mkTrace(1000, 100, stream.Vertex)
-	r := Simulate(tr, cfg, policy.NewDRRIP(2))
+	r := SimulateSource(stream.Pack(tr), cfg, policy.NewDRRIP(2))
 	if r.Cycles < int64(DefaultComputeGap[stream.Vertex]) {
 		t.Error("compute gaps apparently not applied")
 	}
@@ -145,8 +145,8 @@ func TestStoresDoNotBlock(t *testing.T) {
 	for i := range loadsRT {
 		loadsRT[i].Kind = stream.RT
 	}
-	rl := Simulate(loadsRT, smallConfig(), policy.NewLRU())
-	rs := Simulate(stores, smallConfig(), policy.NewLRU())
+	rl := SimulateSource(stream.Pack(loadsRT), smallConfig(), policy.NewLRU())
+	rs := SimulateSource(stream.Pack(stores), smallConfig(), policy.NewLRU())
 	if rs.Cycles >= rl.Cycles {
 		t.Errorf("store trace (%d cycles) should be faster than load trace (%d)", rs.Cycles, rl.Cycles)
 	}
@@ -160,7 +160,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 	}()
 	cfg := smallConfig()
 	cfg.Cores = 0
-	Simulate(mkTrace(10, 10, stream.Z), cfg, policy.NewLRU())
+	SimulateSource(stream.Pack(mkTrace(10, 10, stream.Z)), cfg, policy.NewLRU())
 }
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
@@ -184,7 +184,7 @@ func TestMSHRMergesDuplicateMisses(t *testing.T) {
 		tr[i] = stream.Access{Addr: uint64(i%8) * 64, Kind: stream.Texture}
 	}
 	cfg := smallConfig()
-	r := Simulate(tr, cfg, policy.NewLRU())
+	r := SimulateSource(stream.Pack(tr), cfg, policy.NewLRU())
 	// 8 distinct blocks: the LLC misses at most a handful of times and
 	// DRAM sees no more reads than LLC misses.
 	if r.DRAM.Reads > r.LLC.Misses {
@@ -204,7 +204,7 @@ func TestSecondaryMissWaitsForFill(t *testing.T) {
 	}
 	cfg := smallConfig()
 	cfg.ChunkSize = 1 // force the two accesses onto different threads
-	r := Simulate(tr, cfg, policy.NewLRU())
+	r := SimulateSource(stream.Pack(tr), cfg, policy.NewLRU())
 	// The frame cannot finish before one DRAM round trip.
 	if r.Cycles < 60 {
 		t.Errorf("frame finished in %d cycles, before DRAM could respond", r.Cycles)

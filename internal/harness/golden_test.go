@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -61,13 +62,47 @@ func TestGoldenTables(t *testing.T) {
 		got[e.ID] = tableToGolden(tbl)
 	}
 
-	path := filepath.Join("testdata", "golden.json")
+	checkGolden(t, filepath.Join("testdata", "golden.json"), got)
+}
+
+// TestGoldenSampledFig15 pins the sampled-fidelity timing path: Figure
+// 15 at a scale where interval sampling engages, so the timing model
+// runs on the synthesized prefix and the cycle counts are extrapolated
+// to the estimated full trace. The exact goldens never take this path.
+// The LLC is a third of the golden size so the short window fills it
+// and the policies' cycle counts separate.
+func TestGoldenSampledFig15(t *testing.T) {
+	o := goldenOptions()
+	o.Scale = 0.5
+	o.CapacityFactor = 0.5
+	o.Apps = []string{"Dirt"}
+	o.Fidelity = FidelitySampled
+	n := o.normalized()
+	tr, plan, err := acquireFrame(context.Background(), n, n.Jobs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.fullEst <= float64(tr.Len()) {
+		t.Fatalf("interval sampling did not engage: %d-record trace, full estimate %v", tr.Len(), plan.fullEst)
+	}
+	tbl, err := RunFig15(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "golden_sampled.json"),
+		map[string]goldenTable{"fig15": tableToGolden(tbl)})
+}
+
+// checkGolden compares tables against the golden file at path, or
+// rewrites the file under -update-golden.
+func checkGolden(t *testing.T, path string, got map[string]goldenTable) {
+	t.Helper()
 	if *updateGolden {
 		buf, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {

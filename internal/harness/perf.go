@@ -39,20 +39,16 @@ func runPerf(o Options, title string, cfg gpu.Config) (*Table, error) {
 		ab := j.App.Abbrev
 		cfgRun := cfg
 		cfgRun.UncachedDisplay = true
-		// Sampled fidelity applies interval sampling only: the timing model
-		// simulates the warmup plus measured window of the trace (set
-		// sampling would distort queueing and DRAM row behavior) and the
-		// cycle counts are extrapolated by the estimated full-trace record
-		// ratio. The factor cancels in the normalized columns; it only
-		// shapes the absolute-fps note.
-		var src stream.Source = tr
+		// Sampled fidelity applies interval sampling only (set sampling
+		// would distort queueing and DRAM row behavior): the timing model
+		// simulates the whole synthesized prefix, which is the warmup plus
+		// the measured window because the plan's warmup starts at record
+		// 0, and the cycle counts are extrapolated by the estimated
+		// full-trace record ratio. The factor cancels in the normalized
+		// columns; it only shapes the absolute-fps note.
 		cycleScale := 1.0
-		if plan != nil {
-			w := stream.NewWindow(tr, plan.warmStart, tr.Len())
-			if n := w.Len(); n > 0 && plan.fullEst > 0 {
-				src = w
-				cycleScale = plan.fullEst / float64(n)
-			}
+		if plan != nil && tr.Len() > 0 && plan.fullEst > 0 {
+			cycleScale = plan.fullEst / float64(tr.Len())
 		}
 		// The timing simulator runs one whole trace per call and does not
 		// poll the context internally, so the fan-out's per-job context
@@ -68,7 +64,7 @@ func runPerf(o Options, title string, cfg gpu.Config) (*Table, error) {
 			}
 			defer trackStage(ctx, pickTiming)()
 			defer telemetry.StartFrom(ctx, spec.name, "timing", telemetry.String("job", j.ID())).End()
-			cycles[i] = gpu.SimulateSource(src, cfgRun, spec.make()).Cycles
+			cycles[i] = gpu.SimulateSource(tr, cfgRun, spec.make()).Cycles
 			return nil
 		})
 		if err != nil {

@@ -1,10 +1,9 @@
 package stream
 
 // Source is a read-only positional view of an access trace. Both the
-// packed Trace and a plain []Access (via Slice) implement it, so every
-// replay loop in the repository — the offline simulator, Belady
-// preprocessing, and the GPU timing model — can consume either
-// representation through one seam.
+// packed Trace and a plain []Access (via Slice) implement it, so the
+// offline replay loops — the cache simulator and Belady preprocessing —
+// can consume either representation through one seam.
 //
 // At(i) must return the access at trace position i with Seq set to the
 // position (the invariant every generated trace already satisfies),
@@ -24,36 +23,6 @@ func (s Slice) Len() int { return len(s) }
 
 // At implements Source.
 func (s Slice) At(i int) Access { return s[i] }
-
-// Window is a positional view of the record range [Lo, Hi) of a Source,
-// used by interval-sampled timing runs to simulate one representative
-// window of a frame trace. At(i) preserves the underlying source's
-// global sequence numbers (it returns src.At(Lo+i) unchanged), so
-// consumers that key on Seq see the same values a full replay would.
-type Window struct {
-	Src    Source
-	Lo, Hi int
-}
-
-// NewWindow returns the [lo, hi) view of src, clamped to its bounds.
-func NewWindow(src Source, lo, hi int) Window {
-	if lo < 0 {
-		lo = 0
-	}
-	if n := src.Len(); hi > n {
-		hi = n
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return Window{Src: src, Lo: lo, Hi: hi}
-}
-
-// Len implements Source.
-func (w Window) Len() int { return w.Hi - w.Lo }
-
-// At implements Source.
-func (w Window) At(i int) Access { return w.Src.At(w.Lo + i) }
 
 // traceRecordBytes is the packed per-record footprint: an 8-byte address
 // plus a 1-byte meta (kind + write flag), mirroring the on-disk
