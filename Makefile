@@ -2,15 +2,18 @@
 
 GO ?= go
 
-# PR stamps the bench capture file: `make bench PR=7` writes
-# BENCH_PR7.json (also settable via the PR environment variable).
-PR ?= 8
+# PR stamps the bench capture file: `make bench PR=<n>` writes
+# BENCH_PR<n>.json (also settable via the PR environment variable). It
+# has no default, so a bare `make bench` stops with a usage line instead
+# of overwriting a committed capture.
 
 # Benchmarks captured by `make bench` into BENCH_PR$(PR).json. Fig1 runs
 # first so the figure benches that follow measure the warm-trace-cache
 # path (the deployment steady state); the micro benches isolate the
-# synthesis, replay, timing-model, and cache-lookup stages.
-BENCHES = BenchmarkFig1$$|BenchmarkFig12$$|BenchmarkFig12SampledS1$$|BenchmarkFig12ExactQuarter$$|BenchmarkFig15$$|BenchmarkTraceGeneration$$|BenchmarkTraceGenerationPacked$$|BenchmarkLLCAccessDRRIP$$|BenchmarkLLCAccessDRRIPPacked$$|BenchmarkLLCAccessDRRIPSampled$$|BenchmarkGPUSimulate$$|BenchmarkTraceCacheWarm$$
+# synthesis, replay, timing-model, and cache-lookup stages;
+# BenchmarkLLCAccess*Packed is one packed-trace replay bench per policy
+# the figures run.
+BENCHES = BenchmarkFig1$$|BenchmarkFig12$$|BenchmarkFig12SampledS1$$|BenchmarkFig12ExactQuarter$$|BenchmarkFig15$$|BenchmarkTraceGeneration$$|BenchmarkTraceGenerationPacked$$|BenchmarkLLCAccessDRRIP$$|BenchmarkLLCAccess[A-Za-z]+Packed$$|BenchmarkLLCAccessDRRIPSampled$$|BenchmarkGPUSimulate$$|BenchmarkTraceCacheWarm$$
 
 # bench-capture pipes through a prebuilt benchjson ($(BENCHJSON)) when
 # one is given — CI builds the tool once from the PR head, then benches
@@ -31,6 +34,7 @@ race:
 	$(GO) test -race ./internal/tracecache/ ./internal/harness/ ./internal/service/
 
 bench:
+	@test -n "$(PR)" || { echo "usage: make bench PR=<n>  (writes BENCH_PR<n>.json)" >&2; exit 2; }
 	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchtime 3x . \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -pr $(PR) -label "$(shell git rev-parse --short HEAD 2>/dev/null)" \

@@ -302,20 +302,69 @@ func benchPacked(b *testing.B) *stream.Trace {
 	return benchPackedCache
 }
 
-// BenchmarkLLCAccessDRRIPPacked is BenchmarkLLCAccessDRRIP over the
-// packed trace representation via cachesim.ReplaySource — the replay
-// path every harness experiment now uses.
-func BenchmarkLLCAccessDRRIPPacked(b *testing.B) {
+// benchReplayPacked replays the packed bench trace through a fresh cache
+// per iteration via cachesim.ReplaySource — the replay path every
+// harness experiment uses — with the display stream uncached when ucd
+// is set, as the +UCD policy specs configure it.
+func benchReplayPacked(b *testing.B, mk func() cachesim.Policy, ucd bool) {
 	tr := benchPacked(b)
 	geom := cachesim.Geometry{SizeBytes: 256 << 10, Ways: 16, BlockSize: 64}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := cachesim.New(geom, policy.NewDRRIP(2))
+		c := cachesim.New(geom, mk())
+		c.SetBypass(stream.Display, ucd)
 		if err := cachesim.ReplaySource(context.Background(), c, tr, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(tr.Len()), "accesses/op")
+}
+
+// BenchmarkLLCAccessDRRIPPacked is BenchmarkLLCAccessDRRIP over the
+// packed trace representation. It and the Packed benches below cover
+// every policy the figures replay, one bench each, so a replay
+// regression names its policy.
+func BenchmarkLLCAccessDRRIPPacked(b *testing.B) {
+	benchReplayPacked(b, func() cachesim.Policy { return policy.NewDRRIP(2) }, false)
+}
+
+func BenchmarkLLCAccessNRUPacked(b *testing.B) {
+	benchReplayPacked(b, func() cachesim.Policy { return policy.NewNRU() }, false)
+}
+
+func BenchmarkLLCAccessSHiPPacked(b *testing.B) {
+	benchReplayPacked(b, func() cachesim.Policy { return policy.NewSHiPMem(4) }, false)
+}
+
+func BenchmarkLLCAccessGSDRRIPPacked(b *testing.B) {
+	benchReplayPacked(b, func() cachesim.Policy { return policy.NewGSDRRIP(2) }, false)
+}
+
+func BenchmarkLLCAccessGSPZTCPacked(b *testing.B) {
+	benchReplayPacked(b, func() cachesim.Policy { return core.New(core.DefaultParams(core.VariantGSPZTC)) }, false)
+}
+
+func BenchmarkLLCAccessGSPZTCTSEPacked(b *testing.B) {
+	benchReplayPacked(b, func() cachesim.Policy { return core.New(core.DefaultParams(core.VariantGSPZTCTSE)) }, false)
+}
+
+func BenchmarkLLCAccessGSPCPacked(b *testing.B) {
+	benchReplayPacked(b, func() cachesim.Policy { return core.New(core.DefaultParams(core.VariantGSPC)) }, false)
+}
+
+func BenchmarkLLCAccessGSPCUCDPacked(b *testing.B) {
+	benchReplayPacked(b, func() cachesim.Policy { return core.New(core.DefaultParams(core.VariantGSPC)) }, true)
+}
+
+func BenchmarkLLCAccessDRRIPUCDPacked(b *testing.B) {
+	benchReplayPacked(b, func() cachesim.Policy { return policy.NewDRRIP(2) }, true)
+}
+
+// BenchmarkLLCAccessBeladyPacked times the optimal policy's replay; its
+// next-use preprocessing is built once, outside the timer.
+func BenchmarkLLCAccessBeladyPacked(b *testing.B) {
+	next := belady.NextUseTrace(benchPacked(b), 6)
+	benchReplayPacked(b, func() cachesim.Policy { return belady.NewOPT(next) }, false)
 }
 
 // BenchmarkTraceGenerationPacked measures synthesis straight into the

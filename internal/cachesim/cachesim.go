@@ -153,20 +153,24 @@ func (s *Stats) KindHitRate(k stream.Kind) float64 {
 	return float64(s.KindHits[k]) / float64(s.KindAccesses[k])
 }
 
-type block struct {
-	tag   uint64
-	valid bool
-	dirty bool
-}
-
 // Cache is a set-associative cache with a pluggable replacement policy.
 // It implements stream.Sink so it can terminate a pipeline of sinks.
 type Cache struct {
 	geom       Geometry
 	sets, ways int
 	blockShift uint
-	blocks     []block
-	policy     Policy
+	// tags holds every way's block number plus one, set after set; zero
+	// marks an invalid way. The valid ways of a set always form a
+	// prefix of it: fills take the first invalid way, evictions refill
+	// the victim's way in place, and only Reset invalidates. A scan of
+	// the set therefore stops at the hit or at the first zero, which is
+	// also the way a miss fills. Block numbers are addresses shifted
+	// right by at least one bit, so the +1 never wraps.
+	tags []uint64
+	// dirty is the per-way dirty bit, indexed like tags; only valid ways
+	// are ever dirty.
+	dirty  []bool
+	policy Policy
 
 	// indexSets is the set count addresses map through (the geometry's
 	// full count). It equals sets unless the cache is set-sampled, in
@@ -212,9 +216,16 @@ func New(geom Geometry, policy Policy) *Cache {
 	if err := geom.Validate(); err != nil {
 		panic(err)
 	}
+	return newCache(geom, policy, geom.Sets())
+}
+
+// newCache allocates a cache simulating sets sets of an already
+// validated geometry: all of them, or a set-sampled subset whose
+// sampleMap the caller fills in.
+func newCache(geom Geometry, policy Policy, sets int) *Cache {
 	c := &Cache{
 		geom:      geom,
-		sets:      geom.Sets(),
+		sets:      sets,
 		indexSets: geom.Sets(),
 		ways:      geom.Ways,
 		policy:    policy,
@@ -222,11 +233,12 @@ func New(geom Geometry, policy Policy) *Cache {
 	for 1<<c.blockShift < geom.BlockSize {
 		c.blockShift++
 	}
-	if 1<<c.blockShift != geom.BlockSize {
-		panic(fmt.Sprintf("cachesim: block size %d is not a power of two", geom.BlockSize))
+	if 1<<c.blockShift != geom.BlockSize || c.blockShift == 0 {
+		panic(fmt.Sprintf("cachesim: block size %d is not a power of two of at least 2 bytes", geom.BlockSize))
 	}
-	c.blocks = make([]block, c.sets*c.ways)
-	policy.Reset(c.sets, c.ways)
+	c.tags = make([]uint64, sets*c.ways)
+	c.dirty = make([]bool, sets*c.ways)
+	policy.Reset(sets, c.ways)
 	return c
 }
 
@@ -278,25 +290,32 @@ func (c *Cache) Lookup(addr uint64) (set, way int, ok bool) {
 		set = int(cs)
 	}
 	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if b := &c.blocks[base+w]; b.valid && b.tag == bn {
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == bn+1 {
 			return set, w, true
+		}
+		if t == 0 {
+			break
 		}
 	}
 	return set, -1, false
 }
 
-// BlockAt returns (tag, valid, dirty) for the block at (set, way).
+// BlockAt returns (tag, valid, dirty) for the block at (set, way). An
+// invalid way reports a zero tag.
 func (c *Cache) BlockAt(set, way int) (tag uint64, valid, dirty bool) {
-	b := &c.blocks[set*c.ways+way]
-	return b.tag, b.valid, b.dirty
+	i := set*c.ways + way
+	if t := c.tags[i]; t != 0 {
+		return t - 1, true, c.dirty[i]
+	}
+	return 0, false, false
 }
 
 // Occupancy returns the number of valid blocks.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.blocks {
-		if c.blocks[i].valid {
+	for _, t := range c.tags {
+		if t != 0 {
 			n++
 		}
 	}
@@ -309,7 +328,8 @@ func (c *Cache) Emit(a stream.Access) { c.Access(a) }
 
 // Access performs one cache access and returns whether it hit. Misses
 // always allocate (the paper's LLC fills every miss) unless the stream is
-// configured to bypass or the policy declines a victim.
+// configured to bypass or the policy declines a victim. Observer events
+// are built only when an observer is attached.
 func (c *Cache) Access(a stream.Access) bool {
 	bn := a.Addr >> c.blockShift
 	set := int(bn % uint64(c.indexSets))
@@ -325,19 +345,27 @@ func (c *Cache) Access(a stream.Access) bool {
 	c.Stats.Accesses++
 	c.Stats.KindAccesses[a.Kind]++
 	base := set * c.ways
+	tags := c.tags[base : base+c.ways]
 
-	// Lookup.
-	for w := 0; w < c.ways; w++ {
-		b := &c.blocks[base+w]
-		if b.valid && b.tag == bn {
+	// One scan finds the hit or, since valid ways form a prefix, the
+	// first invalid way; way stays len(tags) when the set is full.
+	way := len(tags)
+	for w, t := range tags {
+		if t == bn+1 {
 			c.Stats.Hits++
 			c.Stats.KindHits[a.Kind]++
 			if a.Write {
-				b.dirty = true
+				c.dirty[base+w] = true
 			}
 			c.policy.Hit(set, w, a)
-			c.notify(Event{Type: EvHit, Access: a, Set: set, Way: w, Tag: bn})
+			if len(c.observers) != 0 {
+				c.notify(Event{Type: EvHit, Access: a, Set: set, Way: w, Tag: bn})
+			}
 			return true
+		}
+		if t == 0 {
+			way = w
+			break
 		}
 	}
 
@@ -351,7 +379,9 @@ func (c *Cache) Access(a stream.Access) bool {
 		if c.Downstream != nil {
 			c.Downstream.Emit(stream.Access{Addr: a.Addr, Kind: a.Kind, Write: a.Write})
 		}
-		c.notify(Event{Type: EvBypass, Access: a, Set: set, Way: -1, Tag: bn})
+		if len(c.observers) != 0 {
+			c.notify(Event{Type: EvBypass, Access: a, Set: set, Way: -1, Tag: bn})
+		}
 		return false
 	}
 	if c.Downstream != nil && !(a.Write && c.NoFetchOnWrite) {
@@ -361,46 +391,43 @@ func (c *Cache) Access(a stream.Access) bool {
 		c.Downstream.Emit(stream.Access{Addr: a.Addr, Kind: a.Kind})
 	}
 
-	// Choose a frame: invalid way first, else ask the policy.
-	way := -1
-	for w := 0; w < c.ways; w++ {
-		if !c.blocks[base+w].valid {
-			way = w
-			break
-		}
-	}
-	if way < 0 {
+	// Fill the first invalid way, else ask the policy for a victim.
+	if way == len(tags) {
 		way = c.policy.Victim(set, a)
 		if way < 0 {
 			c.Stats.Bypasses++
-			c.notify(Event{Type: EvBypass, Access: a, Set: set, Way: -1, Tag: bn})
+			if len(c.observers) != 0 {
+				c.notify(Event{Type: EvBypass, Access: a, Set: set, Way: -1, Tag: bn})
+			}
 			return false
 		}
 		if way >= c.ways {
 			panic(fmt.Sprintf("cachesim: policy %s returned way %d of %d", c.policy.Name(), way, c.ways))
 		}
-		v := &c.blocks[base+way]
+		victim, dirty := tags[way]-1, c.dirty[base+way]
 		c.Stats.Evictions++
-		if v.dirty {
+		if dirty {
 			c.Stats.Writebacks++
 			if c.Downstream != nil {
 				c.Downstream.Emit(stream.Access{
-					Addr:  v.tag << c.blockShift,
+					Addr:  victim << c.blockShift,
 					Kind:  c.WritebackKind,
 					Write: true,
 				})
 			}
 		}
 		c.policy.Evict(set, way)
-		c.notify(Event{Type: EvEvict, Access: a, Set: set, Way: way, Tag: v.tag, Dirty: v.dirty})
+		if len(c.observers) != 0 {
+			c.notify(Event{Type: EvEvict, Access: a, Set: set, Way: way, Tag: victim, Dirty: dirty})
+		}
 	}
 
-	b := &c.blocks[base+way]
-	b.tag = bn
-	b.valid = true
-	b.dirty = a.Write
+	tags[way] = bn + 1
+	c.dirty[base+way] = a.Write
 	c.policy.Fill(set, way, a)
-	c.notify(Event{Type: EvFill, Access: a, Set: set, Way: way, Tag: bn})
+	if len(c.observers) != 0 {
+		c.notify(Event{Type: EvFill, Access: a, Set: set, Way: way, Tag: bn})
+	}
 	return false
 }
 
@@ -412,28 +439,24 @@ func (c *Cache) DrainWritebacks() {
 	if c.Downstream == nil {
 		return
 	}
-	for i := range c.blocks {
-		b := &c.blocks[i]
-		if b.valid && b.dirty {
+	for i, d := range c.dirty {
+		if d {
 			c.Downstream.Emit(stream.Access{
-				Addr:  b.tag << c.blockShift,
+				Addr:  (c.tags[i] - 1) << c.blockShift,
 				Kind:  c.WritebackKind,
 				Write: true,
 			})
-			b.dirty = false
+			c.dirty[i] = false
 		}
 	}
 }
 
 // Reset invalidates all blocks, clears statistics, and resets the policy.
 func (c *Cache) Reset() {
-	for i := range c.blocks {
-		c.blocks[i] = block{}
-	}
+	clear(c.tags)
+	clear(c.dirty)
 	c.Stats = Stats{}
-	for i := range c.setAcc {
-		c.setAcc[i] = 0
-	}
+	clear(c.setAcc)
 	c.policy.Reset(c.sets, c.ways)
 }
 
@@ -443,9 +466,7 @@ func (c *Cache) Reset() {
 // of interval-sampled replays.
 func (c *Cache) ResetCounters() {
 	c.Stats = Stats{}
-	for i := range c.setAcc {
-		c.setAcc[i] = 0
-	}
+	clear(c.setAcc)
 }
 
 func (c *Cache) notify(ev Event) {

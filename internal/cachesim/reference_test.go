@@ -19,9 +19,13 @@ type refCache struct {
 	lines      [][]refLine // per set, MRU first
 }
 
+// refLine is one resident block. way is the physical way it occupies:
+// fills of a non-full set take the next way in order, and a fill that
+// evicts takes the victim's way.
 type refLine struct {
 	tag   uint64
 	dirty bool
+	way   int
 }
 
 func newRefCache(sets, ways int, blockShift uint) *refCache {
@@ -47,14 +51,56 @@ func (r *refCache) access(a stream.Access) (bool, uint64, bool) {
 	// Miss: insert at MRU, evict LRU if full.
 	var evTag uint64
 	var evDirty bool
+	way := len(ls)
 	if len(ls) == r.ways {
 		ev := ls[len(ls)-1]
-		evTag, evDirty = ev.tag, ev.dirty
+		evTag, evDirty, way = ev.tag, ev.dirty, ev.way
 		ls = ls[:len(ls)-1]
 	}
-	ls = append([]refLine{{tag: bn, dirty: a.Write}}, ls...)
+	ls = append([]refLine{{tag: bn, dirty: a.Write, way: way}}, ls...)
 	r.lines[set] = ls
 	return false, evTag, evDirty
+}
+
+// find returns the resident line holding addr's block, if any.
+func (r *refCache) find(addr uint64) (set int, line refLine, ok bool) {
+	bn := addr >> r.blockShift
+	set = int(bn % uint64(r.sets))
+	for _, l := range r.lines[set] {
+		if l.tag == bn {
+			return set, l, true
+		}
+	}
+	return set, refLine{}, false
+}
+
+// agrees reports whether c's Lookup of addr and its BlockAt and
+// Occupancy read-outs match the reference model's contents.
+func (r *refCache) agrees(c *Cache, addr uint64) bool {
+	set, way, ok := c.Lookup(addr)
+	wantSet, line, wantOK := r.find(addr)
+	if set != wantSet || ok != wantOK || (ok && way != line.way) || (!ok && way != -1) {
+		return false
+	}
+	n := 0
+	for s, ls := range r.lines {
+		n += len(ls)
+		byWay := make([]*refLine, r.ways)
+		for i := range ls {
+			byWay[ls[i].way] = &ls[i]
+		}
+		for w, l := range byWay {
+			tag, valid, dirty := c.BlockAt(s, w)
+			if l == nil {
+				if valid || tag != 0 || dirty {
+					return false
+				}
+			} else if !valid || tag != l.tag || dirty != l.dirty {
+				return false
+			}
+		}
+	}
+	return c.Occupancy() == n
 }
 
 // lruPolicy mirrors policy.LRU without importing it (cachesim cannot
@@ -89,7 +135,9 @@ func (p *lruPolicy) Victim(set int, a stream.Access) int {
 func (p *lruPolicy) Evict(set, way int) { p.stamp[set*p.ways+way] = 0 }
 
 // TestAgainstReferenceModel replays random traces through both models
-// and demands identical hit/miss outcomes and dirty-eviction streams.
+// and demands identical hit/miss outcomes and dirty-eviction streams,
+// and after every access identical Lookup results (for the accessed
+// address and one other), BlockAt contents way by way, and Occupancy.
 func TestAgainstReferenceModel(t *testing.T) {
 	f := func(addrs []uint16, writes []bool) bool {
 		const sets, ways = 8, 4
@@ -107,6 +155,10 @@ func TestAgainstReferenceModel(t *testing.T) {
 			hit := c.Access(a)
 			refHit, evTag, evDirty := ref.access(a)
 			if hit != refHit {
+				return false
+			}
+			other := uint64(addrs[(i*7+3)%len(addrs)]) * 16
+			if !ref.agrees(c, a.Addr) || !ref.agrees(c, other) {
 				return false
 			}
 			if evDirty {

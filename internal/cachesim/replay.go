@@ -8,58 +8,39 @@ import (
 )
 
 // DefaultCheckStride is the access interval between context polls in
-// Replay. Simulated traces run tens of millions of accesses per frame;
-// one atomic context check every 8K accesses bounds cancellation latency
-// to microseconds while keeping the poll invisible in profiles.
+// ReplaySource. Simulated traces run tens of millions of accesses per
+// frame; one atomic context check every 8K accesses bounds cancellation
+// latency to microseconds while keeping the poll invisible in profiles.
 const DefaultCheckStride = 8192
 
-// Replay plays tr through c, polling ctx every stride accesses (stride
-// <= 0 selects DefaultCheckStride) so a cancelled or expired context
-// stops the simulation promptly instead of after the full trace. It
-// returns ctx.Err() when the replay was cut short, nil when the whole
-// trace was consumed. This is the cancellation seam for every hot
-// cache-simulation loop in the repository: callers that used to write
-// `for _, a := range tr { c.Access(a) }` call Replay instead.
-func Replay(ctx context.Context, c *Cache, tr []stream.Access, stride int) error {
-	if stride <= 0 {
-		stride = DefaultCheckStride
-	}
-	for i := range tr {
-		if i%stride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		c.Access(tr[i])
-	}
-	return nil
+// ReplaySource plays the packed trace tr through c, polling ctx every
+// stride accesses (stride <= 0 selects DefaultCheckStride) so a
+// cancelled or expired context stops the simulation promptly instead of
+// after the full trace. It returns ctx.Err() when the replay was cut
+// short, nil when the whole trace was consumed. This is the replay loop
+// and cancellation seam of every offline cache simulation in the
+// repository.
+func ReplaySource(ctx context.Context, c *Cache, tr *stream.Trace, stride int) error {
+	return ReplaySourceRange(ctx, c, tr, 0, tr.Len(), stride)
 }
 
-// ReplaySource is Replay over any positional trace view — most
-// importantly the packed stream.Trace that the shared frame-trace cache
-// hands out. The packed fast path avoids an interface call per access;
-// other Source implementations go through the generic loop. Outcomes
-// are identical to Replay on the materialized slice.
-func ReplaySource(ctx context.Context, c *Cache, src stream.Source, stride int) error {
-	return ReplaySourceRange(ctx, c, src, 0, src.Len(), stride)
-}
-
-// ReplaySourceRange replays the half-open record range [lo, hi) of src
+// ReplaySourceRange replays the half-open record range [lo, hi) of tr
 // through c — the interval-sampling seam: a warmup window followed by a
 // measured window replays the same trace twice with different bounds.
 // Seq stays the global trace position, so Belady's OPT (which keys its
 // next-use chain on Seq) sees the same lookahead it would in a full
 // replay. On a set-sampled cache, accesses to unsampled sets are
 // filtered here — one slice index and a compare per skipped record —
-// before any policy or counter state is touched.
-func ReplaySourceRange(ctx context.Context, c *Cache, src stream.Source, lo, hi, stride int) error {
+// before any policy or counter state is touched. The context is polled
+// before records lo, lo+stride, lo+2·stride, ….
+func ReplaySourceRange(ctx context.Context, c *Cache, tr *stream.Trace, lo, hi, stride int) error {
 	if stride <= 0 {
 		stride = DefaultCheckStride
 	}
 	if lo < 0 {
 		lo = 0
 	}
-	if n := src.Len(); hi > n {
+	if n := tr.Len(); hi > n {
 		hi = n
 	}
 	if hi <= lo {
@@ -69,46 +50,28 @@ func ReplaySourceRange(ctx context.Context, c *Cache, src stream.Source, lo, hi,
 	// the raw access-loop time out of the enclosing policy span — e.g.
 	// Belady's next-use precomputation vs its replay.
 	defer telemetry.StartFrom(ctx, "replay", "cachesim", telemetry.Int("accesses", int64(hi-lo))).End()
-	if t, ok := src.(*stream.Trace); ok {
-		addrs, meta := t.Records()
-		if sm := c.sampleMap; sm != nil {
-			shift, idx := c.blockShift, uint64(c.indexSets)
-			var skipped int64
-			for i := lo; i < hi; i++ {
-				if (i-lo)%stride == 0 {
-					if err := ctx.Err(); err != nil {
-						c.Stats.SampledSkips += skipped
-						return err
-					}
-				}
-				if sm[(addrs[i]>>shift)%idx] < 0 {
-					skipped++
-					continue
-				}
-				k, w := stream.UnpackMeta(meta[i])
-				c.Access(stream.Access{Addr: addrs[i], Seq: int64(i), Kind: k, Write: w})
-			}
+	addrs, meta := tr.Records()
+	sm := c.sampleMap
+	shift, idx := c.blockShift, uint64(c.indexSets)
+	var skipped int64
+	for start, end := lo, lo; start < hi; start = end {
+		if err := ctx.Err(); err != nil {
 			c.Stats.SampledSkips += skipped
-			return nil
+			return err
 		}
-		for i := lo; i < hi; i++ {
-			if (i-lo)%stride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
+		end = hi
+		if stride < hi-start {
+			end = start + stride
+		}
+		for i := start; i < end; i++ {
+			if sm != nil && sm[(addrs[i]>>shift)%idx] < 0 {
+				skipped++
+				continue
 			}
 			k, w := stream.UnpackMeta(meta[i])
 			c.Access(stream.Access{Addr: addrs[i], Seq: int64(i), Kind: k, Write: w})
 		}
-		return nil
 	}
-	for i := lo; i < hi; i++ {
-		if (i-lo)%stride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		c.Access(src.At(i))
-	}
+	c.Stats.SampledSkips += skipped
 	return nil
 }

@@ -1,9 +1,6 @@
 package cachesim
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // SetSample configures deterministic set sampling: the cache simulates
 // only the LLC sets whose hashed index falls in a 1-in-Ratio bucket and
@@ -72,24 +69,10 @@ func NewSampled(geom Geometry, policy Policy, s SetSample) *Cache {
 		m[best] = 0
 		n = 1
 	}
-	c := &Cache{
-		geom:      geom,
-		sets:      n,
-		indexSets: total,
-		ways:      geom.Ways,
-		policy:    policy,
-		sample:    s,
-		sampleMap: m,
-		setAcc:    make([]int64, n),
-	}
-	for 1<<c.blockShift < geom.BlockSize {
-		c.blockShift++
-	}
-	if 1<<c.blockShift != geom.BlockSize {
-		panic(fmt.Sprintf("cachesim: block size %d is not a power of two", geom.BlockSize))
-	}
-	c.blocks = make([]block, c.sets*c.ways)
-	policy.Reset(c.sets, c.ways)
+	c := newCache(geom, policy, n)
+	c.sample = s
+	c.sampleMap = m
+	c.setAcc = make([]int64, n)
 	return c
 }
 

@@ -12,9 +12,11 @@ import (
 const (
 	// coordTraceMaxSpans bounds the coordinator-side span buffer per
 	// submit: route + health snapshot + a handful of forward/hedge/
-	// replication spans is typically under twenty, so 512 leaves ample
+	// replication spans is typically under twenty, so 256 leaves ample
 	// headroom without letting a pathological retry loop grow unbounded.
-	coordTraceMaxSpans = 512
+	// The buffer is allocated whole (~18 KB), and the registry retains
+	// up to traceRegistryCap of them, ~75 MB at the cap.
+	coordTraceMaxSpans = 256
 	// traceRegistryCap bounds how many completed submits keep their
 	// coordinator-side run retained for later stitching; oldest entries
 	// are evicted FIFO past this.

@@ -144,11 +144,14 @@ type Policy struct {
 	p    Params
 	max  uint8 // RRPV max (2^bits - 1)
 	ways int
-	sets int
 
 	rrpv  []uint8
 	state []uint8
 	banks []Counters
+	// sample and bankOf are the per-set sample flag and owning counter
+	// block, computed once in Reset so Hit and Fill divide nothing.
+	sample []bool
+	bankOf []int32
 
 	// Insertions counts non-sample fill decisions; exported for the
 	// analysis harness and tests (e.g. a Fig. 8 analogue for GSPC).
@@ -205,7 +208,6 @@ func (g *Policy) Params() Params { return g.p }
 
 // Reset implements cachesim.Policy.
 func (g *Policy) Reset(sets, ways int) {
-	g.sets = sets
 	g.ways = ways
 	n := sets * ways
 	g.rrpv = make([]uint8, n)
@@ -215,28 +217,26 @@ func (g *Policy) Reset(sets, ways int) {
 	g.state = make([]uint8, n)
 	g.banks = make([]Counters, g.p.Banks)
 	g.Insertions = InsertionStats{}
+	g.sample = make([]bool, sets)
+	g.bankOf = make([]int32, sets)
+	m, per := g.p.SampleEvery, sets/g.p.Banks
+	for s := range g.sample {
+		g.sample[s] = s%m == (s/m)%m
+		// Banks own equal contiguous runs of sets, the last one also the
+		// remainder; with fewer sets than banks, bank 0 owns them all.
+		if per > 0 {
+			g.bankOf[s] = int32(min(s/per, g.p.Banks-1))
+		}
+	}
 }
 
-// IsSample reports whether a set is one of the dedicated sample sets:
-// one in every SampleEvery sets (16 per 1024 at the paper's default of
-// 64), selected by a simple Boolean function of the index bits
-// (set mod m == (set div m) mod m).
-func (g *Policy) IsSample(set int) bool {
-	m := g.p.SampleEvery
-	return set%m == (set/m)%m
-}
+// IsSample reports whether a set in [0, sets) is one of the dedicated
+// sample sets: one in every SampleEvery sets (16 per 1024 at the
+// paper's default of 64), selected by a simple Boolean function of the
+// index bits (set mod m == (set div m) mod m).
+func (g *Policy) IsSample(set int) bool { return g.sample[set] }
 
-func (g *Policy) bank(set int) *Counters {
-	per := g.sets / g.p.Banks
-	if per == 0 {
-		return &g.banks[0]
-	}
-	b := set / per
-	if b >= len(g.banks) {
-		b = len(g.banks) - 1
-	}
-	return &g.banks[b]
-}
+func (g *Policy) bank(set int) *Counters { return &g.banks[g.bankOf[set]] }
 
 // CountersFor exposes the counter block owning a set, for tests.
 func (g *Policy) CountersFor(set int) Counters { return *g.bank(set) }

@@ -508,3 +508,41 @@ func TestPolicyThroughCacheProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// tableSetCounts are the set counts the per-set table tests cover: the
+// small ones are what cachesim.NewSampled hands a policy, 276 and 1024
+// are scaled and paper-like LLCs.
+var tableSetCounts = []int{1, 3, 15, 16, 17, 63, 64, 65, 276, 1024}
+
+// TestSetTablesMatchFormulas pins the per-set sample flag and counter
+// bank that Reset precomputes against the formulas they replace:
+// set%m == (set/m)%m, and min(set/(sets/banks), banks-1) with bank 0
+// when sets < banks. One policy per parameter set is Reset to every
+// count in turn, so re-sizing is covered too.
+func TestSetTablesMatchFormulas(t *testing.T) {
+	for _, p := range []Params{
+		DefaultParams(VariantGSPC),
+		{Variant: VariantGSPC, SampleEvery: 4, Banks: 3},
+		{Variant: VariantGSPZTC, SampleEvery: 7, Banks: 8},
+		{Variant: VariantGSPZTCTSE, SampleEvery: 1, Banks: 1},
+		{Variant: VariantGSPC, SampleEvery: 16, Banks: 64},
+	} {
+		g := New(p)
+		m, banks := g.Params().SampleEvery, g.Params().Banks
+		for _, sets := range tableSetCounts {
+			g.Reset(sets, 4)
+			for s := 0; s < sets; s++ {
+				if got, want := g.IsSample(s), s%m == (s/m)%m; got != want {
+					t.Errorf("m=%d sets=%d: IsSample(%d) = %v, want %v", m, sets, s, got, want)
+				}
+				want := 0
+				if per := sets / banks; per > 0 {
+					want = min(s/per, banks-1)
+				}
+				if g.bank(s) != &g.banks[want] {
+					t.Errorf("banks=%d sets=%d: set %d not owned by bank %d", banks, sets, s, want)
+				}
+			}
+		}
+	}
+}

@@ -272,11 +272,11 @@ func RunAblFrontCache(o Options) (*Table, error) {
 // ratio. Its callers synthesize off-default traces directly, outside the
 // interval-sampling machinery, so the replays are always exact.
 func missRatio(ctx context.Context, tr *stream.Trace, geom cachesim.Geometry) (float64, error) {
-	rd, err := runOffline(ctx, tr, specDRRIP(), geom, nil)
+	rd, err := runOffline(ctx, tr, specDRRIP(), geom, nil, noTracker)
 	if err != nil {
 		return 0, err
 	}
-	rg, err := runOffline(ctx, tr, specGSPC(core.VariantGSPC, 8, true), geom, nil)
+	rg, err := runOffline(ctx, tr, specGSPC(core.VariantGSPC, 8, true), geom, nil, noTracker)
 	if err != nil {
 		return 0, err
 	}

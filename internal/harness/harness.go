@@ -257,17 +257,27 @@ type drripFillStats struct {
 	fills, distant [stream.NumKinds]int64
 }
 
+// Replays attach an analysis.Tracker only when their experiment reads
+// it (Figures 5, 6, 7, 9 and 13). The tracker observes every access,
+// and the other figures read only miss counts and policy tallies.
+const (
+	noTracker   = false
+	withTracker = true
+)
+
 // runOffline replays tr through the policy on the given geometry,
 // polling ctx inside the access loop so cancellation stops a frame
 // mid-trace. The trace is shared and read-only: any number of policy
-// replays may run over the same packed trace concurrently.
+// replays may run over the same packed trace concurrently. With track
+// set the result carries an analysis tracker; otherwise its tracker is
+// nil.
 //
 // A nil plan replays the full trace exactly. A non-nil plan runs the
 // sampled protocol: allocate only the sampled sets, warm the cache on
 // [warmStart, measStart) with counters discarded, measure
 // [measStart, Len), then extrapolate every counter to full-trace,
 // full-set scale.
-func runOffline(ctx context.Context, tr *stream.Trace, spec policySpec, geom cachesim.Geometry, plan *samplePlan) (frameResult, error) {
+func runOffline(ctx context.Context, tr *stream.Trace, spec policySpec, geom cachesim.Geometry, plan *samplePlan, track bool) (frameResult, error) {
 	defer trackStage(ctx, pickReplay)()
 	defer telemetry.StartFrom(ctx, spec.name, "replay").End()
 	pol := spec.make()
@@ -280,7 +290,10 @@ func runOffline(ctx context.Context, tr *stream.Trace, spec policySpec, geom cac
 	if spec.ucd {
 		c.SetBypass(stream.Display, true)
 	}
-	tk := attachTracker(c)
+	var tk *analysisTracker
+	if track {
+		tk = attachTracker(c)
+	}
 	if plan == nil {
 		if err := cachesim.ReplaySource(ctx, c, tr, 0); err != nil {
 			return frameResult{}, err
@@ -312,28 +325,31 @@ func runOffline(ctx context.Context, tr *stream.Trace, spec policySpec, geom cac
 // runBDN replays tr under Belady, DRRIP, and NRU — the reference trio
 // the characterization figures share — fanning the three replays out
 // over the options' worker budget. Results are positional, so the
-// output is identical to the former sequential run.
+// output is identical to the former sequential run. Every replay
+// carries a tracker: both callers (Figures 5 and 6) read its stream
+// metrics.
 func runBDN(o Options, tr *stream.Trace, geom cachesim.Geometry, plan *samplePlan) ([3]frameResult, error) {
 	var out [3]frameResult
 	err := fanOut(o.ctx(), o.replayWorkers(), 3, func(ctx context.Context, i int) error {
 		var err error
 		switch i {
 		case 0:
-			out[0], err = runBelady(ctx, tr, geom, plan)
+			out[0], err = runBelady(ctx, tr, geom, plan, withTracker)
 		case 1:
-			out[1], err = runOffline(ctx, tr, specDRRIP(), geom, plan)
+			out[1], err = runOffline(ctx, tr, specDRRIP(), geom, plan, withTracker)
 		case 2:
-			out[2], err = runOffline(ctx, tr, specNRU(), geom, plan)
+			out[2], err = runOffline(ctx, tr, specNRU(), geom, plan, withTracker)
 		}
 		return err
 	})
 	return out, err
 }
 
-// runBelady replays tr under Belady's optimal policy. The plan protocol
-// matches runOffline; OPT's next-use chains are keyed on global Seq, so
-// a windowed replay sees the same lookahead a full replay would.
-func runBelady(ctx context.Context, tr *stream.Trace, geom cachesim.Geometry, plan *samplePlan) (frameResult, error) {
+// runBelady replays tr under Belady's optimal policy. The plan and
+// tracker protocol matches runOffline; OPT's next-use chains are keyed
+// on global Seq, so a windowed replay sees the same lookahead a full
+// replay would.
+func runBelady(ctx context.Context, tr *stream.Trace, geom cachesim.Geometry, plan *samplePlan, track bool) (frameResult, error) {
 	defer trackStage(ctx, pickReplay)()
 	defer telemetry.StartFrom(ctx, "Belady", "replay").End()
 	next := belady.NextUseTrace(tr, blockShift(geom.BlockSize))
@@ -344,7 +360,10 @@ func runBelady(ctx context.Context, tr *stream.Trace, geom cachesim.Geometry, pl
 	} else {
 		c = cachesim.NewSampled(geom, pol, plan.sample)
 	}
-	tk := attachTracker(c)
+	var tk *analysisTracker
+	if track {
+		tk = attachTracker(c)
+	}
 	if plan == nil {
 		if err := cachesim.ReplaySource(ctx, c, tr, 0); err != nil {
 			return frameResult{}, err

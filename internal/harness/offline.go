@@ -182,11 +182,11 @@ func RunFig1(o Options) (*Table, error) {
 			var err error
 			switch i {
 			case 0:
-				rs[0], err = runOffline(ctx, tr, specDRRIP(), geom, plan)
+				rs[0], err = runOffline(ctx, tr, specDRRIP(), geom, plan, noTracker)
 			case 1:
-				rs[1], err = runOffline(ctx, tr, specNRU(), geom, plan)
+				rs[1], err = runOffline(ctx, tr, specNRU(), geom, plan, noTracker)
 			case 2:
-				rs[2], err = runBelady(ctx, tr, geom, plan)
+				rs[2], err = runBelady(ctx, tr, geom, plan, noTracker)
 			}
 			return err
 		})
@@ -411,7 +411,7 @@ func RunFig7(o Options) (*Table, error) {
 			a = &acc{}
 			per[j.App.Abbrev] = a
 		}
-		r, err := runBelady(o.ctx(), tr, geom, plan)
+		r, err := runBelady(o.ctx(), tr, geom, plan, withTracker)
 		if err != nil {
 			return err
 		}
@@ -484,7 +484,7 @@ func RunFig8(o Options) (*Table, error) {
 			a = &acc{}
 			per[j.App.Abbrev] = a
 		}
-		r, err := runOffline(o.ctx(), tr, specDRRIP(), geom, plan)
+		r, err := runOffline(o.ctx(), tr, specDRRIP(), geom, plan, noTracker)
 		if err != nil {
 			return err
 		}
@@ -524,7 +524,7 @@ func RunFig9(o Options) (*Table, error) {
 			a = &[5]int64{}
 			per[j.App.Abbrev] = a
 		}
-		r, err := runBelady(o.ctx(), tr, geom, plan)
+		r, err := runBelady(o.ctx(), tr, geom, plan, withTracker)
 		if err != nil {
 			return err
 		}
@@ -569,7 +569,7 @@ func RunFig11(o Options) (*Table, error) {
 		rs := make([]frameResult, len(ts))
 		err := fanOut(o.ctx(), o.replayWorkers(), len(ts), func(ctx context.Context, i int) error {
 			var err error
-			rs[i], err = runOffline(ctx, tr, specGSPC(core.VariantGSPZTC, ts[i], false), geom, plan)
+			rs[i], err = runOffline(ctx, tr, specGSPC(core.VariantGSPZTC, ts[i], false), geom, plan, noTracker)
 			return err
 		})
 		if err != nil {
@@ -673,9 +673,9 @@ func RunFig13(o Options) (*Table, error) {
 		err := fanOut(o.ctx(), o.replayWorkers(), len(specs)+1, func(ctx context.Context, i int) error {
 			var err error
 			if i == len(specs) {
-				rs[i], err = runBelady(ctx, tr, geom, plan)
+				rs[i], err = runBelady(ctx, tr, geom, plan, withTracker)
 			} else {
-				rs[i], err = runOffline(ctx, tr, specs[i], geom, plan)
+				rs[i], err = runOffline(ctx, tr, specs[i], geom, plan, withTracker)
 			}
 			return err
 		})
@@ -780,9 +780,9 @@ func missSweep(o Options, geom cachesim.Geometry, specs []policySpec) (missD map
 		err := fanOut(o.ctx(), o.replayWorkers(), len(specs)+1, func(ctx context.Context, i int) error {
 			var err error
 			if i == 0 {
-				rs[0], err = runOffline(ctx, tr, specDRRIP(), geom, plan)
+				rs[0], err = runOffline(ctx, tr, specDRRIP(), geom, plan, noTracker)
 			} else {
-				rs[i], err = runOffline(ctx, tr, specs[i-1], geom, plan)
+				rs[i], err = runOffline(ctx, tr, specs[i-1], geom, plan, noTracker)
 			}
 			return err
 		})

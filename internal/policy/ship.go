@@ -27,7 +27,7 @@ const (
 type SHiPMem struct {
 	rripBase
 	banks   int
-	sets    int
+	bankOf  []int32   // per set, computed in Reset
 	shct    [][]uint8 // [bank][signature]
 	sig     []uint16  // per block
 	reused  []bool    // per block
@@ -53,7 +53,14 @@ func (p *SHiPMem) Name() string { return "SHiP-mem" }
 // Reset implements cachesim.Policy.
 func (p *SHiPMem) Reset(sets, ways int) {
 	p.reset(sets, ways)
-	p.sets = sets
+	// Banks own equal contiguous runs of sets, the last one also the
+	// remainder; with fewer sets than banks, bank 0 owns them all.
+	p.bankOf = make([]int32, sets)
+	if per := sets / p.banks; per > 0 {
+		for s := range p.bankOf {
+			p.bankOf[s] = int32(min(s/per, p.banks-1))
+		}
+	}
 	p.shct = make([][]uint8, p.banks)
 	for b := range p.shct {
 		t := make([]uint8, shipTableSize)
@@ -68,18 +75,6 @@ func (p *SHiPMem) Reset(sets, ways int) {
 	p.present = make([]bool, n)
 }
 
-func (p *SHiPMem) bank(set int) int {
-	per := p.sets / p.banks
-	if per == 0 {
-		return 0
-	}
-	b := set / per
-	if b >= p.banks {
-		b = p.banks - 1
-	}
-	return b
-}
-
 func signature(addr uint64) uint16 {
 	return uint16((addr >> shipRegionShift) & (shipTableSize - 1))
 }
@@ -90,7 +85,7 @@ func (p *SHiPMem) Hit(set, way int, a stream.Access) {
 	i := set*p.ways + way
 	if p.present[i] {
 		p.reused[i] = true
-		t := p.shct[p.bank(set)]
+		t := p.shct[p.bankOf[set]]
 		if t[p.sig[i]] < shipCounterMax {
 			t[p.sig[i]]++
 		}
@@ -105,7 +100,7 @@ func (p *SHiPMem) Fill(set, way int, a stream.Access) {
 	p.reused[i] = false
 	p.present[i] = true
 	v := p.max - 1
-	if p.shct[p.bank(set)][sig] == 0 {
+	if p.shct[p.bankOf[set]][sig] == 0 {
 		v = p.max
 	}
 	p.insert(set, way, v, a.Kind)
@@ -118,7 +113,7 @@ func (p *SHiPMem) Victim(set int, a stream.Access) int { return p.victim(set) }
 func (p *SHiPMem) Evict(set, way int) {
 	i := set*p.ways + way
 	if p.present[i] && !p.reused[i] {
-		t := p.shct[p.bank(set)]
+		t := p.shct[p.bankOf[set]]
 		if t[p.sig[i]] > 0 {
 			t[p.sig[i]]--
 		}
@@ -129,5 +124,5 @@ func (p *SHiPMem) Evict(set, way int) {
 
 // CounterFor exposes the learned counter for an address, for tests.
 func (p *SHiPMem) CounterFor(set int, addr uint64) uint8 {
-	return p.shct[p.bank(set)][signature(addr)]
+	return p.shct[p.bankOf[set]][signature(addr)]
 }

@@ -1,29 +1,5 @@
 package stream
 
-// Source is a read-only positional view of an access trace. Both the
-// packed Trace and a plain []Access (via Slice) implement it, so the
-// offline replay loops — the cache simulator and Belady preprocessing —
-// can consume either representation through one seam.
-//
-// At(i) must return the access at trace position i with Seq set to the
-// position (the invariant every generated trace already satisfies),
-// which is what Belady's OPT keys its lookahead on.
-type Source interface {
-	Len() int
-	At(i int) Access
-}
-
-// Slice adapts a []Access to the Source interface. At trusts the stored
-// Seq fields, so a slice whose Seq was assigned in trace order behaves
-// identically to the packed form.
-type Slice []Access
-
-// Len implements Source.
-func (s Slice) Len() int { return len(s) }
-
-// At implements Source.
-func (s Slice) At(i int) Access { return s[i] }
-
 // traceRecordBytes is the packed per-record footprint: an 8-byte address
 // plus a 1-byte meta (kind + write flag), mirroring the on-disk
 // container format of internal/trace. A stream.Access costs 24 bytes
@@ -85,10 +61,10 @@ func Pack(accs []Access) *Trace {
 	return t
 }
 
-// Len implements Source.
+// Len returns the number of records.
 func (t *Trace) Len() int { return len(t.addrs) }
 
-// At implements Source: the access at position i, with Seq = i.
+// At returns the access at position i, with Seq = i.
 func (t *Trace) At(i int) Access {
 	k, w := UnpackMeta(t.meta[i])
 	return Access{Addr: t.addrs[i], Seq: int64(i), Kind: k, Write: w}
