@@ -9,11 +9,12 @@ GO ?= go
 
 # Benchmarks captured by `make bench` into BENCH_PR$(PR).json. Fig1 runs
 # first so the figure benches that follow measure the warm-trace-cache
-# path (the deployment steady state); the micro benches isolate the
-# synthesis, replay, timing-model, and cache-lookup stages;
+# path (the deployment steady state); Fig13 is the gated figure that
+# replays with the analysis tracker attached; the micro benches isolate
+# the synthesis, replay, timing-model, and cache-lookup stages;
 # BenchmarkLLCAccess*Packed is one packed-trace replay bench per policy
 # the figures run.
-BENCHES = BenchmarkFig1$$|BenchmarkFig12$$|BenchmarkFig12SampledS1$$|BenchmarkFig12ExactQuarter$$|BenchmarkFig15$$|BenchmarkTraceGeneration$$|BenchmarkTraceGenerationPacked$$|BenchmarkLLCAccessDRRIP$$|BenchmarkLLCAccess[A-Za-z]+Packed$$|BenchmarkLLCAccessDRRIPSampled$$|BenchmarkGPUSimulate$$|BenchmarkTraceCacheWarm$$
+BENCHES = BenchmarkFig1$$|BenchmarkFig12$$|BenchmarkFig13$$|BenchmarkFig12SampledS1$$|BenchmarkFig12ExactQuarter$$|BenchmarkFig15$$|BenchmarkTraceGeneration$$|BenchmarkTraceGenerationPacked$$|BenchmarkLLCAccess[A-Za-z]+Packed$$|BenchmarkLLCAccessDRRIPSampled$$|BenchmarkGPUSimulate$$|BenchmarkTraceCacheWarm$$
 
 # bench-capture pipes through a prebuilt benchjson ($(BENCHJSON)) when
 # one is given — CI builds the tool once from the PR head, then benches

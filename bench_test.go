@@ -210,75 +210,6 @@ func BenchmarkTable6(b *testing.B) {
 
 // --- Micro-benchmarks of the core components ---
 
-// benchTrace synthesizes one small frame trace once per process.
-var benchTraceCache []stream.Access
-
-func benchTrace(b *testing.B) []stream.Access {
-	if benchTraceCache == nil {
-		benchTraceCache = trace.GenerateFrame(workload.Suite()[14], 0.15)
-	}
-	b.SetBytes(0)
-	return benchTraceCache
-}
-
-func benchPolicy(b *testing.B, mk func() cachesim.Policy) {
-	tr := benchTrace(b)
-	geom := cachesim.Geometry{SizeBytes: 256 << 10, Ways: 16, BlockSize: 64}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := cachesim.New(geom, mk())
-		for _, a := range tr {
-			c.Access(a)
-		}
-	}
-	b.ReportMetric(float64(len(tr)), "accesses/op")
-}
-
-// BenchmarkLLCAccessDRRIP measures the offline simulator's throughput
-// with the baseline policy.
-func BenchmarkLLCAccessDRRIP(b *testing.B) {
-	benchPolicy(b, func() cachesim.Policy { return policy.NewDRRIP(2) })
-}
-
-// BenchmarkLLCAccessGSPC measures the GSPC policy's overhead relative to
-// DRRIP (compare with BenchmarkLLCAccessDRRIP).
-func BenchmarkLLCAccessGSPC(b *testing.B) {
-	benchPolicy(b, func() cachesim.Policy { return core.New(core.DefaultParams(core.VariantGSPC)) })
-}
-
-// BenchmarkLLCAccessLRU measures the simplest stack policy.
-func BenchmarkLLCAccessLRU(b *testing.B) {
-	benchPolicy(b, func() cachesim.Policy { return policy.NewLRU() })
-}
-
-// BenchmarkLLCAccessSHiP measures the signature-based predictor.
-func BenchmarkLLCAccessSHiP(b *testing.B) {
-	benchPolicy(b, func() cachesim.Policy { return policy.NewSHiPMem(4) })
-}
-
-// BenchmarkBeladyPreprocess measures the next-use chain construction.
-func BenchmarkBeladyPreprocess(b *testing.B) {
-	tr := benchTrace(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		belady.NextUse(tr, 6)
-	}
-}
-
-// BenchmarkBeladyReplay measures a full optimal-policy replay.
-func BenchmarkBeladyReplay(b *testing.B) {
-	tr := benchTrace(b)
-	next := belady.NextUse(tr, 6)
-	geom := cachesim.Geometry{SizeBytes: 256 << 10, Ways: 16, BlockSize: 64}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := cachesim.New(geom, belady.NewOPT(next))
-		for _, a := range tr {
-			c.Access(a)
-		}
-	}
-}
-
 // BenchmarkTraceGeneration measures the full pipeline + render cache
 // synthesis of one frame's LLC trace.
 func BenchmarkTraceGeneration(b *testing.B) {
@@ -292,12 +223,13 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
-// benchPackedCache holds the packed variant of benchTrace, built once.
+// benchPackedCache holds one small packed frame trace, built once per
+// process.
 var benchPackedCache *stream.Trace
 
-func benchPacked(b *testing.B) *stream.Trace {
+func benchPacked() *stream.Trace {
 	if benchPackedCache == nil {
-		benchPackedCache = stream.Pack(benchTrace(b))
+		benchPackedCache = trace.GeneratePacked(workload.Suite()[14], 0.15)
 	}
 	return benchPackedCache
 }
@@ -307,7 +239,7 @@ func benchPacked(b *testing.B) *stream.Trace {
 // harness experiment uses — with the display stream uncached when ucd
 // is set, as the +UCD policy specs configure it.
 func benchReplayPacked(b *testing.B, mk func() cachesim.Policy, ucd bool) {
-	tr := benchPacked(b)
+	tr := benchPacked()
 	geom := cachesim.Geometry{SizeBytes: 256 << 10, Ways: 16, BlockSize: 64}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -320,9 +252,9 @@ func benchReplayPacked(b *testing.B, mk func() cachesim.Policy, ucd bool) {
 	b.ReportMetric(float64(tr.Len()), "accesses/op")
 }
 
-// BenchmarkLLCAccessDRRIPPacked is BenchmarkLLCAccessDRRIP over the
-// packed trace representation. It and the Packed benches below cover
-// every policy the figures replay, one bench each, so a replay
+// BenchmarkLLCAccessDRRIPPacked measures the offline simulator's replay
+// throughput with the baseline policy. It and the Packed benches below
+// cover every policy the figures replay, one bench each, so a replay
 // regression names its policy.
 func BenchmarkLLCAccessDRRIPPacked(b *testing.B) {
 	benchReplayPacked(b, func() cachesim.Policy { return policy.NewDRRIP(2) }, false)
@@ -363,7 +295,7 @@ func BenchmarkLLCAccessDRRIPUCDPacked(b *testing.B) {
 // BenchmarkLLCAccessBeladyPacked times the optimal policy's replay; its
 // next-use preprocessing is built once, outside the timer.
 func BenchmarkLLCAccessBeladyPacked(b *testing.B) {
-	next := belady.NextUseTrace(benchPacked(b), 6)
+	next := belady.NextUseTrace(benchPacked(), 6)
 	benchReplayPacked(b, func() cachesim.Policy { return belady.NewOPT(next) }, false)
 }
 
@@ -389,7 +321,7 @@ func BenchmarkTraceGenerationPacked(b *testing.B) {
 func BenchmarkTraceCacheWarm(b *testing.B) {
 	c := tracecache.New(64 << 20)
 	k := tracecache.Key{Job: "bench", Scale: 0.15, Config: "bench"}
-	synth := func(context.Context) (*stream.Trace, error) { return benchPacked(b), nil }
+	synth := func(context.Context) (*stream.Trace, error) { return benchPacked(), nil }
 	if _, err := c.Get(context.Background(), k, synth); err != nil {
 		b.Fatal(err)
 	}
@@ -449,7 +381,7 @@ func BenchmarkFig12ExactQuarter(b *testing.B) {
 // non-sampled sets cheaply enough that throughput scales with the
 // sampled fraction.
 func BenchmarkLLCAccessDRRIPSampled(b *testing.B) {
-	tr := benchPacked(b)
+	tr := benchPacked()
 	geom := cachesim.Geometry{SizeBytes: 256 << 10, Ways: 16, BlockSize: 64}
 	ss := cachesim.SetSample{Ratio: 16, Seed: 1}
 	b.ResetTimer()
@@ -465,7 +397,7 @@ func BenchmarkLLCAccessDRRIPSampled(b *testing.B) {
 // BenchmarkGPUSimulate measures the event-driven timing simulator over
 // the packed trace the harness hands it.
 func BenchmarkGPUSimulate(b *testing.B) {
-	tr := benchPacked(b)
+	tr := benchPacked()
 	cfg := gpu.DefaultConfig(cachesim.Geometry{SizeBytes: 256 << 10, Ways: 16, BlockSize: 64})
 	cfg.UncachedDisplay = true
 	b.ResetTimer()

@@ -107,7 +107,7 @@ func main() {
 		selected = harness.All()
 	} else {
 		for _, id := range strings.Split(*exp, ",") {
-			e, ok := harness.ByIDExt(strings.TrimSpace(id))
+			e, ok := harness.ByID(strings.TrimSpace(id))
 			if !ok {
 				fmt.Fprintf(os.Stderr, "gspcsim: unknown experiment %q (use -list)\n", id)
 				os.Exit(2)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"gspc/internal/analysis"
 	"gspc/internal/belady"
 	"gspc/internal/cachesim"
 	"gspc/internal/stream"
@@ -53,7 +54,7 @@ func TestPackedReplayEquivalence(t *testing.T) {
 	t.Run("Belady", func(t *testing.T) {
 		next := belady.NextUse(slice, blockShift(geom.BlockSize))
 		a := sliceStats(geom, belady.NewOPT(next), false, slice)
-		b, err := runBelady(ctx, packed, geom, nil, withTracker)
+		b, err := runOffline(ctx, packed, specBelady(), geom, nil, withTracker)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,12 +64,12 @@ func TestPackedReplayEquivalence(t *testing.T) {
 
 // trackedCache builds a cache the way runOffline does, with a tracker
 // attached.
-func trackedCache(geom cachesim.Geometry, pol cachesim.Policy, ucd bool) (*cachesim.Cache, *analysisTracker) {
+func trackedCache(geom cachesim.Geometry, pol cachesim.Policy, ucd bool) (*cachesim.Cache, *analysis.Tracker) {
 	c := cachesim.New(geom, pol)
 	if ucd {
 		c.SetBypass(stream.Display, true)
 	}
-	return c, attachTracker(c)
+	return c, analysis.Attach(c)
 }
 
 // sliceStats is the classic replay: a plain Access loop over the
@@ -99,9 +100,9 @@ func compareReplays(t *testing.T, a, b frameResult) {
 }
 
 // TestTrackerNeverChangesResults checks that attaching the analysis
-// tracker is pure observation: runOffline and runBelady return the same
-// counters, GSPC insertion tallies and DRRIP fill tallies with and
-// without it, for every policy the figures replay, both exactly and
+// tracker is pure observation: runOffline returns the same counters,
+// GSPC insertion tallies and DRRIP fill tallies with and without it, for
+// every policy the figures replay, Belady included, both exactly and
 // under a set- and interval-sampled plan.
 func TestTrackerNeverChangesResults(t *testing.T) {
 	o := Options{Scale: 0.1}.normalized()
@@ -115,39 +116,31 @@ func TestTrackerNeverChangesResults(t *testing.T) {
 		fullEst:   float64(tr.Len()),
 		factor:    float64(tr.Len()) / float64(tr.Len()-measStart),
 	}
-	specs := append([]policySpec{specDRRIP(), specNRU()}, fig12Specs()...)
+	specs := append([]policySpec{specDRRIP(), specNRU(), specBelady()}, fig12Specs()...)
 	for _, plan := range []*samplePlan{nil, sampled} {
 		mode := "exact"
 		if plan != nil {
 			mode = "sampled"
 		}
-		check := func(name string, run func(track bool) (frameResult, error)) {
-			plain, err := run(noTracker)
+		for _, spec := range specs {
+			plain, err := runOffline(ctx, tr, spec, geom, plan, noTracker)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tracked, err := run(withTracker)
+			tracked, err := runOffline(ctx, tr, spec, geom, plan, withTracker)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if plain.tracker != nil || tracked.tracker == nil {
-				t.Errorf("%s/%s: tracker attached %v without, %v with", mode, name, plain.tracker != nil, tracked.tracker != nil)
+				t.Errorf("%s/%s: tracker attached %v without, %v with", mode, spec.name, plain.tracker != nil, tracked.tracker != nil)
 			}
 			if plain.stats != tracked.stats || plain.insert != tracked.insert || plain.drrip != tracked.drrip {
-				t.Errorf("%s/%s: results diverge with the tracker attached:\n without %+v\n with    %+v", mode, name, plain, tracked)
+				t.Errorf("%s/%s: results diverge with the tracker attached:\n without %+v\n with    %+v", mode, spec.name, plain, tracked)
 			}
 			if plain.stats.Accesses == 0 {
-				t.Errorf("%s/%s: replay measured no accesses", mode, name)
+				t.Errorf("%s/%s: replay measured no accesses", mode, spec.name)
 			}
 		}
-		for _, spec := range specs {
-			check(spec.name, func(track bool) (frameResult, error) {
-				return runOffline(ctx, tr, spec, geom, plan, track)
-			})
-		}
-		check("Belady", func(track bool) (frameResult, error) {
-			return runBelady(ctx, tr, geom, plan, track)
-		})
 	}
 }
 

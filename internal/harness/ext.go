@@ -34,19 +34,6 @@ func Extensions() []Experiment {
 	}
 }
 
-// allExperiments returns paper figures plus extensions.
-func allExperiments() []Experiment { return append(All(), Extensions()...) }
-
-// ByIDExt finds an experiment among figures and extensions.
-func ByIDExt(id string) (Experiment, bool) {
-	for _, e := range allExperiments() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
-}
-
 // RunExtWarm renders two consecutive frames of each application through
 // the same LLC and compares the second frame's misses against a cold
 // run: assets persist across frames, so warm caches capture inter-frame
@@ -54,26 +41,12 @@ func ByIDExt(id string) (Experiment, bool) {
 func RunExtWarm(o Options) (*Table, error) {
 	o = o.normalized()
 	geom := o.Geometry(paperLLCBytes)
-	t := &Table{
-		Title:   fmt.Sprintf("Extension: frame-1 misses, warm LLC relative to cold (LLC %s)", geom),
-		Columns: []string{"DRRIP", "GSPC+UCD"},
-	}
 	specs := []policySpec{specDRRIP(), specGSPC(core.VariantGSPC, 8, true)}
-
-	apps := o.Apps
-	if len(apps) == 0 {
-		for _, p := range workload.Profiles() {
-			apps = append(apps, p.Abbrev)
-		}
-	}
+	order := appOrder(o.Jobs())
 	ratios := map[string][]float64{}
-	var order []string
 	ctx := o.ctx()
-	for _, ab := range apps {
-		p, ok := workload.ProfileByAbbrev(ab)
-		if !ok || p.Frames < 2 {
-			continue
-		}
+	for _, ab := range order {
+		p, _ := workload.ProfileByAbbrev(ab) // a suite app: known, with four or more frames
 		// Both frames come from the shared trace cache, so a warm sweep
 		// after any suite experiment re-synthesizes nothing.
 		tr0, err := genTrace(ctx, o, workload.FrameJob{App: p, Index: 0})
@@ -111,22 +84,11 @@ func RunExtWarm(o Options) (*Table, error) {
 			vals[i] = float64(warmMisses) / float64(cold.Stats.Misses)
 		}
 		ratios[ab] = vals
-		order = append(order, ab)
-		t.AddRow(ab, vals...)
 		o.progressf("  %s warm/cold done\n", ab)
 	}
-	means := make([]float64, len(specs))
-	for _, ab := range order {
-		for i, v := range ratios[ab] {
-			means[i] += v
-		}
-	}
-	for i := range means {
-		means[i] /= float64(len(order))
-	}
-	t.AddRow("MEAN", means...)
-	t.Notes = append(t.Notes, "values below 1 quantify inter-frame reuse captured by a warm LLC")
-	return t, nil
+	return appTable(fmt.Sprintf("Extension: frame-1 misses, warm LLC relative to cold (LLC %s)", geom),
+		specNames(specs), order, func(ab string) []float64 { return ratios[ab] },
+		"values below 1 quantify inter-frame reuse captured by a warm LLC"), nil
 }
 
 // RunExtPolicies evaluates the additional related-work policies the
@@ -212,60 +174,79 @@ func RunAblBanks(o Options) (*Table, error) {
 func RunAblFrontCache(o Options) (*Table, error) {
 	o = o.normalized()
 	geom := o.Geometry(paperLLCBytes)
-	t := &Table{
-		Title:   fmt.Sprintf("Ablation: render cache scaling rule (LLC %s)", geom),
-		Columns: []string{"linLLCacc", "areaLLCacc", "linGSPC", "areaGSPC"},
+	withCaches := func(areaScale float64) func(*stream.Trace, workload.FrameJob) {
+		cfg := rendercache.DefaultConfig().Scaled(areaScale)
+		return func(t *stream.Trace, j workload.FrameJob) { trace.GeneratePackedInto(t, j, o.Scale, cfg) }
 	}
-	var sums [4]float64
-	order := appOrder(o.Jobs())
-	perApp := map[string]*[4]float64{}
-	counts := map[string]int{}
+	return traceVariants(o, geom, fmt.Sprintf("Ablation: render cache scaling rule (LLC %s)", geom),
+		[]string{"linLLCacc", "areaLLCacc", "linGSPC", "areaGSPC"},
+		withCaches(o.Scale), withCaches(o.Scale*o.Scale),
+		"linGSPC/areaGSPC: GSPC+UCD misses normalized to DRRIP on the respective trace")
+}
+
+// RunAblMorton compares the default row-major-tiled surfaces against
+// Morton (Z-order) layouts for the GPU-internal surfaces: Morton packs
+// screen-space neighborhoods into compact block ranges, changing how the
+// render caches and DRAM rows see the same rendering.
+func RunAblMorton(o Options) (*Table, error) {
+	o = o.normalized()
+	geom := o.Geometry(paperLLCBytes)
+	cfg := rendercache.DefaultConfig().Scaled(o.Scale)
+	// Layout is a synthesis parameter the trace-cache key does not carry.
+	withLayout := func(layout memmap.Layout) func(*stream.Trace, workload.FrameJob) {
+		return func(t *stream.Trace, j workload.FrameJob) {
+			t.Reset()
+			rc := rendercache.New(cfg, t)
+			pipeline.NewRenderer(rc).RenderFrame(j.App.BuildFrameLayout(j.Index, o.Scale, layout))
+		}
+	}
+	return traceVariants(o, geom, fmt.Sprintf("Ablation: surface tile layout, row-major vs Morton (LLC %s)", geom),
+		[]string{"rowmajAcc", "mortonAcc", "rowmajGSPC", "mortonGSPC"},
+		withLayout(memmap.LayoutRowMajor), withLayout(memmap.LayoutMorton),
+		"GSPC columns: GSPC+UCD misses normalized to DRRIP on the same trace")
+}
+
+// traceVariants runs a two-trace ablation: each selected frame is
+// rendered by renderA and renderB into two packed buffers reused across
+// frames, and each app's row averages over its frames the two trace
+// lengths and the two GSPC+UCD-to-DRRIP miss ratios. These off-default
+// traces stay out of the shared trace cache and outside interval
+// sampling, and buffer reuse keeps the serial sweep allocation-flat.
+func traceVariants(o Options, geom cachesim.Geometry, title string, columns []string, renderA, renderB func(*stream.Trace, workload.FrameJob), note string) (*Table, error) {
+	sums := map[string]*[4]float64{}
+	frames := map[string]int{}
 	ctx := o.ctx()
-	// The two scaling rules are swept with two packed buffers reused
-	// across every frame: these off-default configurations stay out of
-	// the shared trace cache, and buffer reuse keeps the serial sweep
-	// allocation-flat.
-	lin, area := stream.NewTrace(0), stream.NewTrace(0)
+	a, b := stream.NewTrace(0), stream.NewTrace(0)
 	for _, j := range o.Jobs() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		trace.GeneratePackedInto(lin, j, o.Scale, rendercache.DefaultConfig().Scaled(o.Scale))
-		trace.GeneratePackedInto(area, j, o.Scale, rendercache.DefaultConfig().Scaled(o.Scale*o.Scale))
-		row := perApp[j.App.Abbrev]
+		renderA(a, j)
+		renderB(b, j)
+		ra, err := missRatio(ctx, a, geom)
+		if err != nil {
+			return nil, err
+		}
+		rb, err := missRatio(ctx, b, geom)
+		if err != nil {
+			return nil, err
+		}
+		row := sums[j.App.Abbrev]
 		if row == nil {
 			row = &[4]float64{}
-			perApp[j.App.Abbrev] = row
+			sums[j.App.Abbrev] = row
 		}
-		linR, err := missRatio(ctx, lin, geom)
-		if err != nil {
-			return nil, err
-		}
-		areaR, err := missRatio(ctx, area, geom)
-		if err != nil {
-			return nil, err
-		}
-		row[0] += float64(lin.Len())
-		row[1] += float64(area.Len())
-		row[2] += linR
-		row[3] += areaR
-		counts[j.App.Abbrev]++
+		row[0] += float64(a.Len())
+		row[1] += float64(b.Len())
+		row[2] += ra
+		row[3] += rb
+		frames[j.App.Abbrev]++
 		o.progressf("  %s done\n", j.ID())
 	}
-	for _, ab := range order {
-		row := perApp[ab]
-		n := float64(counts[ab])
-		vals := []float64{row[0] / n, row[1] / n, row[2] / n, row[3] / n}
-		for i, v := range vals {
-			sums[i] += v
-		}
-		t.AddRow(ab, vals...)
-	}
-	t.AddRow("MEAN", sums[0]/float64(len(order)), sums[1]/float64(len(order)),
-		sums[2]/float64(len(order)), sums[3]/float64(len(order)))
-	t.Notes = append(t.Notes,
-		"linGSPC/areaGSPC: GSPC+UCD misses normalized to DRRIP on the respective trace")
-	return t, nil
+	return appTable(title, columns, appOrder(o.Jobs()), func(ab string) []float64 {
+		row, n := sums[ab], float64(frames[ab])
+		return []float64{row[0] / n, row[1] / n, row[2] / n, row[3] / n}
+	}, note), nil
 }
 
 // missRatio replays tr under GSPC+UCD and DRRIP and returns their miss
@@ -284,107 +265,4 @@ func missRatio(ctx context.Context, tr *stream.Trace, geom cachesim.Geometry) (f
 		return 1, nil
 	}
 	return float64(rg.stats.Misses) / float64(rd.stats.Misses), nil
-}
-
-// normalizedMissTable runs specs over the suite and tabulates per-app
-// miss counts normalized to DRRIP.
-func normalizedMissTable(o Options, geom cachesim.Geometry, title string, specs []policySpec, note string) (*Table, error) {
-	missD, miss, err := missSweep(o, geom, specs)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{Title: title}
-	for _, s := range specs {
-		t.Columns = append(t.Columns, s.name)
-	}
-	order := appOrder(o.Jobs())
-	sums := make([]float64, len(specs))
-	for _, ab := range order {
-		vals := make([]float64, len(specs))
-		for i := range specs {
-			vals[i] = float64(miss[ab][i]) / float64(missD[ab])
-			sums[i] += vals[i]
-		}
-		t.AddRow(ab, vals...)
-	}
-	means := make([]float64, len(specs))
-	for i := range means {
-		means[i] = sums[i] / float64(len(order))
-	}
-	t.AddRow("MEAN", means...)
-	if note != "" {
-		t.Notes = append(t.Notes, note)
-	}
-	return t, nil
-}
-
-// RunAblMorton compares the default row-major-tiled surfaces against
-// Morton (Z-order) layouts for the GPU-internal surfaces: Morton packs
-// screen-space neighborhoods into compact block ranges, changing how the
-// render caches and DRAM rows see the same rendering.
-func RunAblMorton(o Options) (*Table, error) {
-	o = o.normalized()
-	geom := o.Geometry(paperLLCBytes)
-	t := &Table{
-		Title:   fmt.Sprintf("Ablation: surface tile layout, row-major vs Morton (LLC %s)", geom),
-		Columns: []string{"rowmajAcc", "mortonAcc", "rowmajGSPC", "mortonGSPC"},
-	}
-	var sums [4]float64
-	order := appOrder(o.Jobs())
-	perApp := map[string]*[4]float64{}
-	counts := map[string]int{}
-	ctx := o.ctx()
-	// Layout is a synthesis parameter the trace-cache key does not carry,
-	// so both layouts are rendered directly into packed buffers reused
-	// across frames.
-	rowTr, morTr := stream.NewTrace(0), stream.NewTrace(0)
-	for _, j := range o.Jobs() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cfg := rendercache.DefaultConfig().Scaled(o.Scale)
-		traceForLayout(rowTr, j, o.Scale, cfg, memmap.LayoutRowMajor)
-		traceForLayout(morTr, j, o.Scale, cfg, memmap.LayoutMorton)
-		row := perApp[j.App.Abbrev]
-		if row == nil {
-			row = &[4]float64{}
-			perApp[j.App.Abbrev] = row
-		}
-		rowR, err := missRatio(ctx, rowTr, geom)
-		if err != nil {
-			return nil, err
-		}
-		morR, err := missRatio(ctx, morTr, geom)
-		if err != nil {
-			return nil, err
-		}
-		row[0] += float64(rowTr.Len())
-		row[1] += float64(morTr.Len())
-		row[2] += rowR
-		row[3] += morR
-		counts[j.App.Abbrev]++
-		o.progressf("  %s done\n", j.ID())
-	}
-	for _, ab := range order {
-		row := perApp[ab]
-		n := float64(counts[ab])
-		vals := []float64{row[0] / n, row[1] / n, row[2] / n, row[3] / n}
-		for i, v := range vals {
-			sums[i] += v
-		}
-		t.AddRow(ab, vals...)
-	}
-	t.AddRow("MEAN", sums[0]/float64(len(order)), sums[1]/float64(len(order)),
-		sums[2]/float64(len(order)), sums[3]/float64(len(order)))
-	t.Notes = append(t.Notes, "GSPC columns: GSPC+UCD misses normalized to DRRIP on the same trace")
-	return t, nil
-}
-
-// traceForLayout renders one frame with an explicit surface layout into
-// t, resetting it first (Seq is implicit in the packed representation).
-func traceForLayout(t *stream.Trace, j workload.FrameJob, scale float64, cfg rendercache.Config, layout memmap.Layout) {
-	t.Reset()
-	rc := rendercache.New(cfg, t)
-	frame := j.App.BuildFrameLayout(j.Index, scale, layout)
-	pipeline.NewRenderer(rc).RenderFrame(frame)
 }

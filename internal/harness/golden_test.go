@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.json from the current implementation")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata golden files from the current implementation")
 
 // goldenOptions is the fixed configuration the golden tables are pinned
 // at: two applications, one frame, a small scale. Everything in the
@@ -54,7 +54,7 @@ func tableToGolden(t *Table) goldenTable {
 func TestGoldenTables(t *testing.T) {
 	o := goldenOptions()
 	got := map[string]goldenTable{}
-	for _, e := range allExperiments() {
+	for _, e := range append(All(), Extensions()...) {
 		tbl, err := e.Run(o)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
@@ -63,6 +63,38 @@ func TestGoldenTables(t *testing.T) {
 	}
 
 	checkGolden(t, filepath.Join("testdata", "golden.json"), got)
+}
+
+// variantOptions is the configuration TestGoldenVariants pins: one
+// application with two frames, so every per-app sum adds more than one
+// frame, at the golden scale and capacity.
+func variantOptions() Options {
+	return Options{
+		Scale:           0.1,
+		CapacityFactor:  1.5,
+		MaxFramesPerApp: 2,
+		Apps:            []string{"Dirt"},
+	}
+}
+
+// TestGoldenVariants pins every experiment at variantOptions, once exact
+// and once set-sampled, against testdata/golden_variants.json. The main
+// goldens sum one frame per app and sample only fig15; this file covers
+// multi-frame accumulation and the sampled path of every experiment.
+func TestGoldenVariants(t *testing.T) {
+	got := map[string]goldenTable{}
+	for _, fid := range []string{FidelityExact, FidelitySampled} {
+		o := variantOptions()
+		o.Fidelity = fid
+		for _, e := range append(All(), Extensions()...) {
+			tbl, err := e.Run(o)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", fid, e.ID, err)
+			}
+			got[fid+"/"+e.ID] = tableToGolden(tbl)
+		}
+	}
+	checkGolden(t, filepath.Join("testdata", "golden_variants.json"), got)
 }
 
 // TestGoldenSampledFig15 pins the sampled-fidelity timing path: Figure
@@ -137,6 +169,18 @@ func checkGolden(t *testing.T, path string, got map[string]goldenTable) {
 
 func compareGolden(t *testing.T, id string, want, got goldenTable) {
 	t.Helper()
+	if want.Title != got.Title {
+		t.Errorf("%s: title = %q, want %q", id, got.Title, want.Title)
+	}
+	if len(want.Notes) != len(got.Notes) {
+		t.Errorf("%s: %d notes, want %d", id, len(got.Notes), len(want.Notes))
+	} else {
+		for i := range want.Notes {
+			if want.Notes[i] != got.Notes[i] {
+				t.Errorf("%s: note %d = %q, want %q", id, i, got.Notes[i], want.Notes[i])
+			}
+		}
+	}
 	if len(want.Columns) != len(got.Columns) {
 		t.Errorf("%s: %d columns, want %d", id, len(got.Columns), len(want.Columns))
 		return

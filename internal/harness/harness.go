@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 
+	"gspc/internal/analysis"
 	"gspc/internal/belady"
 	"gspc/internal/cachesim"
 	"gspc/internal/core"
@@ -199,9 +200,10 @@ func All() []Experiment {
 	}
 }
 
-// ByID finds an experiment.
+// ByID finds an experiment among the paper's figures and tables and the
+// extensions.
 func ByID(id string) (Experiment, bool) {
-	for _, e := range All() {
+	for _, e := range append(All(), Extensions()...) {
 		if e.ID == id {
 			return e, true
 		}
@@ -212,12 +214,16 @@ func ByID(id string) (Experiment, bool) {
 // paperLLCBytes is the baseline 8 MB capacity of Section 4.
 const paperLLCBytes = 8 << 20
 
-// policySpec names a policy with its display-stream caching mode.
+// policySpec names a policy with its display-stream caching mode. A nil
+// make stands for Belady's OPT, which runOffline builds from the trace it
+// replays.
 type policySpec struct {
 	name string
 	ucd  bool
 	make func() cachesim.Policy
 }
+
+func specBelady() policySpec { return policySpec{name: "Belady"} }
 
 func specDRRIP() policySpec {
 	return policySpec{name: "DRRIP", make: func() cachesim.Policy { return policy.NewDRRIP(2) }}
@@ -248,7 +254,7 @@ func specGSPC(v core.Variant, t int, ucd bool) policySpec {
 // policy run on one frame.
 type frameResult struct {
 	stats   cachesim.Stats
-	tracker *analysisTracker
+	tracker *analysis.Tracker
 	insert  core.InsertionStats
 	drrip   drripFillStats
 }
@@ -270,7 +276,8 @@ const (
 // mid-trace. The trace is shared and read-only: any number of policy
 // replays may run over the same packed trace concurrently. With track
 // set the result carries an analysis tracker; otherwise its tracker is
-// nil.
+// nil. OPT's next-use chains are keyed on global Seq, so a windowed
+// Belady replay sees the same lookahead a full replay would.
 //
 // A nil plan replays the full trace exactly. A non-nil plan runs the
 // sampled protocol: allocate only the sampled sets, warm the cache on
@@ -280,7 +287,12 @@ const (
 func runOffline(ctx context.Context, tr *stream.Trace, spec policySpec, geom cachesim.Geometry, plan *samplePlan, track bool) (frameResult, error) {
 	defer trackStage(ctx, pickReplay)()
 	defer telemetry.StartFrom(ctx, spec.name, "replay").End()
-	pol := spec.make()
+	var pol cachesim.Policy
+	if spec.make == nil {
+		pol = belady.NewOPT(belady.NextUseTrace(tr, blockShift(geom.BlockSize)))
+	} else {
+		pol = spec.make()
+	}
 	var c *cachesim.Cache
 	if plan == nil {
 		c = cachesim.New(geom, pol)
@@ -290,9 +302,9 @@ func runOffline(ctx context.Context, tr *stream.Trace, spec policySpec, geom cac
 	if spec.ucd {
 		c.SetBypass(stream.Display, true)
 	}
-	var tk *analysisTracker
+	var tk *analysis.Tracker
 	if track {
-		tk = attachTracker(c)
+		tk = analysis.Attach(c)
 	}
 	if plan == nil {
 		if err := cachesim.ReplaySource(ctx, c, tr, 0); err != nil {
@@ -315,70 +327,6 @@ func runOffline(ctx context.Context, tr *stream.Trace, spec policySpec, geom cac
 	if d, ok := pol.(*policy.DRRIP); ok {
 		res.drrip = drripFillStats{fills: d.FillsByKind, distant: d.DistantFillsByKind}
 	}
-	if plan != nil {
-		plan.observe(c)
-		scaleFrameResult(&res, plan.scaleFor(c))
-	}
-	return res, nil
-}
-
-// runBDN replays tr under Belady, DRRIP, and NRU — the reference trio
-// the characterization figures share — fanning the three replays out
-// over the options' worker budget. Results are positional, so the
-// output is identical to the former sequential run. Every replay
-// carries a tracker: both callers (Figures 5 and 6) read its stream
-// metrics.
-func runBDN(o Options, tr *stream.Trace, geom cachesim.Geometry, plan *samplePlan) ([3]frameResult, error) {
-	var out [3]frameResult
-	err := fanOut(o.ctx(), o.replayWorkers(), 3, func(ctx context.Context, i int) error {
-		var err error
-		switch i {
-		case 0:
-			out[0], err = runBelady(ctx, tr, geom, plan, withTracker)
-		case 1:
-			out[1], err = runOffline(ctx, tr, specDRRIP(), geom, plan, withTracker)
-		case 2:
-			out[2], err = runOffline(ctx, tr, specNRU(), geom, plan, withTracker)
-		}
-		return err
-	})
-	return out, err
-}
-
-// runBelady replays tr under Belady's optimal policy. The plan and
-// tracker protocol matches runOffline; OPT's next-use chains are keyed
-// on global Seq, so a windowed replay sees the same lookahead a full
-// replay would.
-func runBelady(ctx context.Context, tr *stream.Trace, geom cachesim.Geometry, plan *samplePlan, track bool) (frameResult, error) {
-	defer trackStage(ctx, pickReplay)()
-	defer telemetry.StartFrom(ctx, "Belady", "replay").End()
-	next := belady.NextUseTrace(tr, blockShift(geom.BlockSize))
-	pol := belady.NewOPT(next)
-	var c *cachesim.Cache
-	if plan == nil {
-		c = cachesim.New(geom, pol)
-	} else {
-		c = cachesim.NewSampled(geom, pol, plan.sample)
-	}
-	var tk *analysisTracker
-	if track {
-		tk = attachTracker(c)
-	}
-	if plan == nil {
-		if err := cachesim.ReplaySource(ctx, c, tr, 0); err != nil {
-			return frameResult{}, err
-		}
-	} else {
-		if err := cachesim.ReplaySourceRange(ctx, c, tr, plan.warmStart, plan.measStart, 0); err != nil {
-			return frameResult{}, err
-		}
-		resetRunCounters(c, tk, pol)
-		if err := cachesim.ReplaySourceRange(ctx, c, tr, plan.measStart, tr.Len(), 0); err != nil {
-			return frameResult{}, err
-		}
-	}
-	recordLLCStats(&c.Stats)
-	res := frameResult{stats: c.Stats, tracker: tk}
 	if plan != nil {
 		plan.observe(c)
 		scaleFrameResult(&res, plan.scaleFor(c))
@@ -460,16 +408,28 @@ func appOrder(jobs []workload.FrameJob) []string {
 	return order
 }
 
-// meanOf averages the per-app values in m over the order keys.
-func meanOf(m map[string]float64, order []string) float64 {
-	if len(order) == 0 {
-		return 0
+// appTable builds a per-application table: one row per app of order,
+// with the values row returns, then a MEAN row that sums each column in
+// app order and divides by the app count (0 when there are no apps, so
+// the table stays NaN-free).
+func appTable(title string, columns, order []string, row func(ab string) []float64, notes ...string) *Table {
+	t := &Table{Title: title, Columns: columns}
+	means := make([]float64, len(columns))
+	for _, ab := range order {
+		vals := row(ab)
+		for i, v := range vals {
+			means[i] += v
+		}
+		t.AddRow(ab, vals...)
 	}
-	sum := 0.0
-	for _, k := range order {
-		sum += m[k]
+	if len(order) > 0 {
+		for i := range means {
+			means[i] /= float64(len(order))
+		}
 	}
-	return sum / float64(len(order))
+	t.AddRow("MEAN", means...)
+	t.Notes = append(t.Notes, notes...)
+	return t
 }
 
 func (o Options) progressf(format string, args ...interface{}) {

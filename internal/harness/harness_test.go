@@ -227,11 +227,8 @@ func TestExtensionsRegistry(t *testing.T) {
 	if len(exts) != 7 {
 		t.Errorf("extensions = %d, want 7", len(exts))
 	}
-	if _, ok := ByIDExt("abl-banks"); !ok {
-		t.Error("ByIDExt missed an ablation")
-	}
-	if _, ok := ByIDExt("fig12"); !ok {
-		t.Error("ByIDExt must also resolve paper figures")
+	if _, ok := ByID("abl-banks"); !ok {
+		t.Error("ByID missed an ablation")
 	}
 }
 
@@ -466,5 +463,23 @@ func TestAblMortonTiny(t *testing.T) {
 	mo, _ := tbl.Cell("MEAN", "mortonAcc")
 	if rm <= 0 || mo <= 0 {
 		t.Error("morton ablation produced empty traces")
+	}
+}
+
+// TestExtWarmSuiteOrder: ext-warm lists each app once, in suite order,
+// however the Apps option spells the selection, like every other table.
+func TestExtWarmSuiteOrder(t *testing.T) {
+	o := tinyOptions()
+	o.Apps = []string{"HAWX", "Dirt", "HAWX"}
+	tbl, err := RunExtWarm(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	for _, r := range tbl.Rows {
+		labels = append(labels, r.Label)
+	}
+	if got, want := strings.Join(labels, ","), "Dirt,HAWX,MEAN"; got != want {
+		t.Errorf("rows = %s, want %s", got, want)
 	}
 }

@@ -168,165 +168,172 @@ func RunTable6(o Options) (*Table, error) {
 	return t, nil
 }
 
+// perApp walks the suite and sums, per application, the counters frame
+// returns for each of its frames. It is the one frame loop every suite
+// experiment runs; the sums stay integers until the cell formulas, so
+// they do not depend on accumulation order.
+func perApp(o Options, frame func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) ([]int64, error)) (map[string][]int64, error) {
+	sums := map[string][]int64{}
+	err := forEachFrame(o, func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) error {
+		vals, err := frame(j, tr, plan)
+		if err != nil {
+			return err
+		}
+		a := sums[j.App.Abbrev]
+		if a == nil {
+			a = make([]int64, len(vals))
+			sums[j.App.Abbrev] = a
+		}
+		for i, v := range vals {
+			a[i] += v
+		}
+		return nil
+	})
+	return sums, err
+}
+
+// sweep replays every selected frame under specs and sums, per
+// application, the counters collect draws from each frame's results. A
+// frame's replays all read its one shared packed trace and fan out over
+// the options' worker budget in spec order; results are positional, so
+// rs[i] belongs to specs[i] however the goroutines interleave. With
+// track set every replay carries an analysis tracker.
+func sweep(o Options, geom cachesim.Geometry, specs []policySpec, track bool, collect func(rs []frameResult) []int64) (map[string][]int64, error) {
+	return perApp(o, func(_ workload.FrameJob, tr *stream.Trace, plan *samplePlan) ([]int64, error) {
+		rs := make([]frameResult, len(specs))
+		err := fanOut(o.ctx(), o.replayWorkers(), len(specs), func(ctx context.Context, i int) error {
+			var err error
+			rs[i], err = runOffline(ctx, tr, specs[i], geom, plan, track)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		return collect(rs), nil
+	})
+}
+
+// misses collects each replay's miss count.
+func misses(rs []frameResult) []int64 {
+	m := make([]int64, len(rs))
+	for i, r := range rs {
+		m[i] = r.stats.Misses
+	}
+	return m
+}
+
+// specNames returns the specs' names, the columns of a per-policy table.
+func specNames(specs []policySpec) []string {
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		names[i] = s.name
+	}
+	return names
+}
+
+// normalizedMissTable replays DRRIP and then specs over the suite and
+// tabulates each spec's per-app misses normalized to DRRIP's.
+func normalizedMissTable(o Options, geom cachesim.Geometry, title string, specs []policySpec, notes ...string) (*Table, error) {
+	sums, err := sweep(o, geom, append([]policySpec{specDRRIP()}, specs...), noTracker, misses)
+	if err != nil {
+		return nil, err
+	}
+	return appTable(title, specNames(specs), appOrder(o.Jobs()), func(ab string) []float64 {
+		m := sums[ab]
+		vals := make([]float64, len(specs))
+		for i := range vals {
+			vals[i] = float64(m[i+1]) / float64(m[0])
+		}
+		return vals
+	}, notes...), nil
+}
+
 // RunFig1 reproduces Figure 1: NRU and Belady's optimal LLC miss counts
 // normalized to two-bit DRRIP on the 8 MB LLC.
 func RunFig1(o Options) (*Table, error) {
 	geom := o.Geometry(paperLLCBytes)
-	missD := map[string]int64{}
-	missN := map[string]int64{}
-	missO := map[string]int64{}
-	err := forEachFrame(o, func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) error {
-		ab := j.App.Abbrev
-		var rs [3]frameResult
-		err := fanOut(o.ctx(), o.replayWorkers(), 3, func(ctx context.Context, i int) error {
-			var err error
-			switch i {
-			case 0:
-				rs[0], err = runOffline(ctx, tr, specDRRIP(), geom, plan, noTracker)
-			case 1:
-				rs[1], err = runOffline(ctx, tr, specNRU(), geom, plan, noTracker)
-			case 2:
-				rs[2], err = runBelady(ctx, tr, geom, plan, noTracker)
-			}
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		missD[ab] += rs[0].stats.Misses
-		missN[ab] += rs[1].stats.Misses
-		missO[ab] += rs[2].stats.Misses
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:   fmt.Sprintf("Figure 1: LLC misses normalized to DRRIP (LLC %s)", geom),
-		Columns: []string{"NRU", "Belady"},
-	}
-	order := appOrder(o.Jobs())
-	rn, ro := map[string]float64{}, map[string]float64{}
-	for _, ab := range order {
-		rn[ab] = float64(missN[ab]) / float64(missD[ab])
-		ro[ab] = float64(missO[ab]) / float64(missD[ab])
-		t.AddRow(ab, rn[ab], ro[ab])
-	}
-	t.AddRow("MEAN", meanOf(rn, order), meanOf(ro, order))
-	t.Notes = append(t.Notes, "paper: NRU 1.062, Belady 0.634 on average")
-	return t, nil
+	return normalizedMissTable(o, geom,
+		fmt.Sprintf("Figure 1: LLC misses normalized to DRRIP (LLC %s)", geom),
+		[]policySpec{specNRU(), specBelady()},
+		"paper: NRU 1.062, Belady 0.634 on average")
 }
 
 // RunFig4 reproduces Figure 4: the stream-wise distribution of LLC
 // accesses.
 func RunFig4(o Options) (*Table, error) {
-	mix := map[string][stream.NumKinds]int64{}
-	err := forEachFrame(o, func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) error {
+	mix, err := perApp(o, func(_ workload.FrameJob, tr *stream.Trace, plan *samplePlan) ([]int64, error) {
 		// Sampled runs scan only the measured window — the distribution is
 		// reported in percent, so the extrapolation factor cancels.
 		lo := 0
 		if plan != nil {
 			lo = plan.measStart
 		}
-		m := mix[j.App.Abbrev]
+		m := make([]int64, stream.NumKinds)
 		for i, n := lo, tr.Len(); i < n; i++ {
 			m[tr.KindAt(i)]++
 		}
-		mix[j.App.Abbrev] = m
-		return nil
+		return m, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{Title: "Figure 4: stream-wise distribution of LLC accesses (percent)"}
+	var cols []string
 	for _, k := range stream.Kinds() {
-		t.Columns = append(t.Columns, k.String())
+		cols = append(cols, k.String())
 	}
-	order := appOrder(o.Jobs())
-	var totals [stream.NumKinds]float64
-	for _, ab := range order {
-		m := mix[ab]
-		var tot int64
-		for _, v := range m {
-			tot += v
-		}
-		vals := make([]float64, stream.NumKinds)
-		for k, v := range m {
-			vals[k] = 100 * float64(v) / float64(tot)
-			totals[k] += vals[k]
-		}
-		t.AddRow(ab, vals...)
-	}
-	means := make([]float64, stream.NumKinds)
-	for k := range means {
-		means[k] = totals[k] / float64(len(order))
-	}
-	t.AddRow("MEAN", means...)
-	t.Notes = append(t.Notes, "paper averages: rt 40, texture 34, z >=10, hiz 7, vertex 4, rest ~5")
-	return t, nil
+	return appTable("Figure 4: stream-wise distribution of LLC accesses (percent)", cols, appOrder(o.Jobs()),
+		func(ab string) []float64 {
+			m := mix[ab]
+			var tot int64
+			for _, v := range m {
+				tot += v
+			}
+			vals := make([]float64, len(m))
+			for k, v := range m {
+				vals[k] = 100 * float64(v) / float64(tot)
+			}
+			return vals
+		},
+		"paper averages: rt 40, texture 34, z >=10, hiz 7, vertex 4, rest ~5"), nil
 }
 
 // RunFig5 reproduces Figure 5: texture sampler, render target, and Z hit
 // rates under Belady, DRRIP, and NRU.
 func RunFig5(o Options) (*Table, error) {
 	geom := o.Geometry(paperLLCBytes)
-	type acc struct{ hit, tot [3][3]int64 } // [policy][stream]
-	per := map[string]*acc{}
 	kinds := []stream.Kind{stream.Texture, stream.RT, stream.Z}
-	err := forEachFrame(o, func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) error {
-		a := per[j.App.Abbrev]
-		if a == nil {
-			a = &acc{}
-			per[j.App.Abbrev] = a
-		}
-		results, err := runBDN(o, tr, geom, plan)
-		if err != nil {
-			return err
-		}
-		for pi, r := range results {
-			for si, k := range kinds {
-				a.hit[pi][si] += r.tracker.KindHits(k)
-				a.tot[pi][si] += r.tracker.KindAccesses(k)
+	// Per policy, per stream: hits then accesses.
+	sums, err := sweep(o, geom, []policySpec{specBelady(), specDRRIP(), specNRU()}, withTracker, func(rs []frameResult) []int64 {
+		var v []int64
+		for _, r := range rs {
+			for _, k := range kinds {
+				v = append(v, r.tracker.KindHits(k), r.tracker.KindAccesses(k))
 			}
 		}
-		return nil
+		return v
 	})
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		Title: fmt.Sprintf("Figure 5: per-stream hit rates, percent (LLC %s)", geom),
-		Columns: []string{
+	return appTable(fmt.Sprintf("Figure 5: per-stream hit rates, percent (LLC %s)", geom),
+		[]string{
 			"tex/Bel", "tex/DRRIP", "tex/NRU",
 			"rt/Bel", "rt/DRRIP", "rt/NRU",
 			"z/Bel", "z/DRRIP", "z/NRU",
 		},
-	}
-	order := appOrder(o.Jobs())
-	sums := make([]float64, 9)
-	for _, ab := range order {
-		a := per[ab]
-		vals := make([]float64, 9)
-		for si := 0; si < 3; si++ {
-			for pi := 0; pi < 3; pi++ {
-				v := 0.0
-				if a.tot[pi][si] > 0 {
-					v = 100 * float64(a.hit[pi][si]) / float64(a.tot[pi][si])
+		appOrder(o.Jobs()),
+		func(ab string) []float64 {
+			a := sums[ab]
+			vals := make([]float64, 9)
+			for si := 0; si < 3; si++ {
+				for pi := 0; pi < 3; pi++ {
+					c := 2 * (pi*3 + si)
+					vals[si*3+pi] = ratioPct(a[c], a[c+1])
 				}
-				vals[si*3+pi] = v
-				sums[si*3+pi] += v
 			}
-		}
-		t.AddRow(ab, vals...)
-	}
-	means := make([]float64, 9)
-	for i := range means {
-		means[i] = sums[i] / float64(len(order))
-	}
-	t.AddRow("MEAN", means...)
-	t.Notes = append(t.Notes,
-		"paper averages: texture 53.4/22.0/18.4, rt 59.8/50.1/41.5, z 77.1/~58/~58 (Belady/DRRIP/NRU)")
-	return t, nil
+			return vals
+		},
+		"paper averages: texture 53.4/22.0/18.4, rt 59.8/50.1/41.5, z 77.1/~58/~58 (Belady/DRRIP/NRU)"), nil
 }
 
 // RunFig6 reproduces Figure 6: the split of texture sampler hits into
@@ -334,135 +341,75 @@ func RunFig5(o Options) (*Table, error) {
 // fraction of render target blocks consumed by the samplers.
 func RunFig6(o Options) (*Table, error) {
 	geom := o.Geometry(paperLLCBytes)
-	type acc struct {
-		inter, intra [3]int64
-		prod, cons   [3]int64
-	}
-	per := map[string]*acc{}
-	err := forEachFrame(o, func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) error {
-		a := per[j.App.Abbrev]
-		if a == nil {
-			a = &acc{}
-			per[j.App.Abbrev] = a
+	// Per policy: inter, intra, produced, consumed.
+	sums, err := sweep(o, geom, []policySpec{specBelady(), specDRRIP(), specNRU()}, withTracker, func(rs []frameResult) []int64 {
+		var v []int64
+		for _, r := range rs {
+			v = append(v, r.tracker.InterTexHits, r.tracker.IntraTexHits, r.tracker.RTProduced, r.tracker.RTConsumed)
 		}
-		results, err := runBDN(o, tr, geom, plan)
-		if err != nil {
-			return err
-		}
-		for pi, r := range results {
-			a.inter[pi] += r.tracker.InterTexHits
-			a.intra[pi] += r.tracker.IntraTexHits
-			a.prod[pi] += r.tracker.RTProduced
-			a.cons[pi] += r.tracker.RTConsumed
-		}
-		return nil
+		return v
 	})
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		Title: fmt.Sprintf("Figure 6: texture reuse split (%% of Belady hits) and RT consumption %% (LLC %s)", geom),
-		Columns: []string{
+	return appTable(fmt.Sprintf("Figure 6: texture reuse split (%% of Belady hits) and RT consumption %% (LLC %s)", geom),
+		[]string{
 			"inter/Bel", "intra/Bel", "inter/DRRIP", "intra/DRRIP", "inter/NRU", "intra/NRU",
 			"cons/Bel", "cons/DRRIP", "cons/NRU",
 		},
-	}
-	order := appOrder(o.Jobs())
-	sums := make([]float64, 9)
-	for _, ab := range order {
-		a := per[ab]
-		optHits := float64(a.inter[0] + a.intra[0])
-		if optHits == 0 {
-			optHits = 1
-		}
-		vals := []float64{
-			100 * float64(a.inter[0]) / optHits, 100 * float64(a.intra[0]) / optHits,
-			100 * float64(a.inter[1]) / optHits, 100 * float64(a.intra[1]) / optHits,
-			100 * float64(a.inter[2]) / optHits, 100 * float64(a.intra[2]) / optHits,
-			ratioPct(a.cons[0], a.prod[0]), ratioPct(a.cons[1], a.prod[1]), ratioPct(a.cons[2], a.prod[2]),
-		}
-		for i, v := range vals {
-			sums[i] += v
-		}
-		t.AddRow(ab, vals...)
-	}
-	means := make([]float64, len(sums))
-	for i := range means {
-		means[i] = sums[i] / float64(len(order))
-	}
-	t.AddRow("MEAN", means...)
-	t.Notes = append(t.Notes,
-		"paper: 55% of Belady's texture hits are inter-stream; RT consumption 51/16/13% (Belady/DRRIP/NRU)")
-	return t, nil
+		appOrder(o.Jobs()),
+		func(ab string) []float64 {
+			a := sums[ab]
+			optHits := float64(a[0] + a[1])
+			if optHits == 0 {
+				optHits = 1
+			}
+			return []float64{
+				100 * float64(a[0]) / optHits, 100 * float64(a[1]) / optHits,
+				100 * float64(a[4]) / optHits, 100 * float64(a[5]) / optHits,
+				100 * float64(a[8]) / optHits, 100 * float64(a[9]) / optHits,
+				ratioPct(a[3], a[2]), ratioPct(a[7], a[6]), ratioPct(a[11], a[10]),
+			}
+		},
+		"paper: 55% of Belady's texture hits are inter-stream; RT consumption 51/16/13% (Belady/DRRIP/NRU)"), nil
 }
 
 // RunFig7 reproduces Figure 7: the epoch-wise distribution of
 // intra-stream texture hits and per-epoch death ratios under Belady.
 func RunFig7(o Options) (*Table, error) {
 	geom := o.Geometry(paperLLCBytes)
-	type acc struct {
-		hits    [4]int64
-		entries [5]int64
-	}
-	per := map[string]*acc{}
-	err := forEachFrame(o, func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) error {
-		a := per[j.App.Abbrev]
-		if a == nil {
-			a = &acc{}
-			per[j.App.Abbrev] = a
-		}
-		r, err := runBelady(o.ctx(), tr, geom, plan, withTracker)
-		if err != nil {
-			return err
-		}
-		for e := 0; e < 4; e++ {
-			a.hits[e] += r.tracker.TexEpochHits[e]
-		}
-		for e := 0; e < 5; e++ {
-			a.entries[e] += r.tracker.TexEntries[e]
-		}
-		return nil
+	// Four epoch hit counts, then five epoch entry counts.
+	sums, err := sweep(o, geom, []policySpec{specBelady()}, withTracker, func(rs []frameResult) []int64 {
+		tk := rs[0].tracker
+		return append(append([]int64(nil), tk.TexEpochHits[:]...), tk.TexEntries[:]...)
 	})
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		Title: fmt.Sprintf("Figure 7: texture epochs under Belady (LLC %s)", geom),
-		Columns: []string{
+	return appTable(fmt.Sprintf("Figure 7: texture epochs under Belady (LLC %s)", geom),
+		[]string{
 			"hit%E0", "hit%E1", "hit%E2", "hit%E3+",
 			"death E0", "death E1", "death E2",
 		},
-	}
-	order := appOrder(o.Jobs())
-	sums := make([]float64, 7)
-	for _, ab := range order {
-		a := per[ab]
-		var totHits int64
-		for _, h := range a.hits {
-			totHits += h
-		}
-		if totHits == 0 {
-			totHits = 1
-		}
-		vals := []float64{
-			100 * float64(a.hits[0]) / float64(totHits),
-			100 * float64(a.hits[1]) / float64(totHits),
-			100 * float64(a.hits[2]) / float64(totHits),
-			100 * float64(a.hits[3]) / float64(totHits),
-			death(a.entries[:], 0), death(a.entries[:], 1), death(a.entries[:], 2),
-		}
-		for i, v := range vals {
-			sums[i] += v
-		}
-		t.AddRow(ab, vals...)
-	}
-	means := make([]float64, len(sums))
-	for i := range means {
-		means[i] = sums[i] / float64(len(order))
-	}
-	t.AddRow("MEAN", means...)
-	t.Notes = append(t.Notes, "paper: hits 79/15/4/2%, death ratios 0.81/0.73/0.53")
-	return t, nil
+		appOrder(o.Jobs()),
+		func(ab string) []float64 {
+			hits, entries := sums[ab][:4], sums[ab][4:]
+			var totHits int64
+			for _, h := range hits {
+				totHits += h
+			}
+			if totHits == 0 {
+				totHits = 1
+			}
+			return []float64{
+				100 * float64(hits[0]) / float64(totHits),
+				100 * float64(hits[1]) / float64(totHits),
+				100 * float64(hits[2]) / float64(totHits),
+				100 * float64(hits[3]) / float64(totHits),
+				death(entries, 0), death(entries, 1), death(entries, 2),
+			}
+		},
+		"paper: hits 79/15/4/2%, death ratios 0.81/0.73/0.53"), nil
 }
 
 func death(entries []int64, k int) float64 {
@@ -476,136 +423,68 @@ func death(entries []int64, k int) float64 {
 // texture fills inserted with RRPV=3 by two-bit DRRIP.
 func RunFig8(o Options) (*Table, error) {
 	geom := o.Geometry(paperLLCBytes)
-	type acc struct{ rtF, rtD, txF, txD int64 }
-	per := map[string]*acc{}
-	err := forEachFrame(o, func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) error {
-		a := per[j.App.Abbrev]
-		if a == nil {
-			a = &acc{}
-			per[j.App.Abbrev] = a
+	// RT (with display) fills and distant fills, then texture's.
+	sums, err := sweep(o, geom, []policySpec{specDRRIP()}, noTracker, func(rs []frameResult) []int64 {
+		d := rs[0].drrip
+		return []int64{
+			d.fills[stream.RT] + d.fills[stream.Display], d.distant[stream.RT] + d.distant[stream.Display],
+			d.fills[stream.Texture], d.distant[stream.Texture],
 		}
-		r, err := runOffline(o.ctx(), tr, specDRRIP(), geom, plan, noTracker)
-		if err != nil {
-			return err
-		}
-		a.rtF += r.drrip.fills[stream.RT] + r.drrip.fills[stream.Display]
-		a.rtD += r.drrip.distant[stream.RT] + r.drrip.distant[stream.Display]
-		a.txF += r.drrip.fills[stream.Texture]
-		a.txD += r.drrip.distant[stream.Texture]
-		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		Title:   fmt.Sprintf("Figure 8: %% of fills with RRPV=3 under DRRIP (LLC %s)", geom),
-		Columns: []string{"RT", "texture"},
-	}
-	order := appOrder(o.Jobs())
-	rt, tx := map[string]float64{}, map[string]float64{}
-	for _, ab := range order {
-		a := per[ab]
-		rt[ab] = ratioPct(a.rtD, a.rtF)
-		tx[ab] = ratioPct(a.txD, a.txF)
-		t.AddRow(ab, rt[ab], tx[ab])
-	}
-	t.AddRow("MEAN", meanOf(rt, order), meanOf(tx, order))
-	t.Notes = append(t.Notes, "paper averages: RT ~25%, texture ~36%")
-	return t, nil
+	return appTable(fmt.Sprintf("Figure 8: %% of fills with RRPV=3 under DRRIP (LLC %s)", geom),
+		[]string{"RT", "texture"}, appOrder(o.Jobs()),
+		func(ab string) []float64 {
+			a := sums[ab]
+			return []float64{ratioPct(a[1], a[0]), ratioPct(a[3], a[2])}
+		},
+		"paper averages: RT ~25%, texture ~36%"), nil
 }
 
 // RunFig9 reproduces Figure 9: Z stream epoch death ratios under Belady.
 func RunFig9(o Options) (*Table, error) {
 	geom := o.Geometry(paperLLCBytes)
-	per := map[string]*[5]int64{}
-	err := forEachFrame(o, func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) error {
-		a := per[j.App.Abbrev]
-		if a == nil {
-			a = &[5]int64{}
-			per[j.App.Abbrev] = a
-		}
-		r, err := runBelady(o.ctx(), tr, geom, plan, withTracker)
-		if err != nil {
-			return err
-		}
-		for e := 0; e < 5; e++ {
-			a[e] += r.tracker.ZEntries[e]
-		}
-		return nil
+	sums, err := sweep(o, geom, []policySpec{specBelady()}, withTracker, func(rs []frameResult) []int64 {
+		return rs[0].tracker.ZEntries[:]
 	})
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		Title:   fmt.Sprintf("Figure 9: Z epoch death ratios under Belady (LLC %s)", geom),
-		Columns: []string{"death E0", "death E1", "death E2"},
-	}
-	order := appOrder(o.Jobs())
-	sums := make([]float64, 3)
-	for _, ab := range order {
-		a := per[ab]
-		vals := []float64{death(a[:], 0), death(a[:], 1), death(a[:], 2)}
-		for i, v := range vals {
-			sums[i] += v
-		}
-		t.AddRow(ab, vals...)
-	}
-	t.AddRow("MEAN", sums[0]/float64(len(order)), sums[1]/float64(len(order)), sums[2]/float64(len(order)))
-	t.Notes = append(t.Notes, "paper: 0.61/0.38/0.26 — declining, unlike the texture stream")
-	return t, nil
+	return appTable(fmt.Sprintf("Figure 9: Z epoch death ratios under Belady (LLC %s)", geom),
+		[]string{"death E0", "death E1", "death E2"}, appOrder(o.Jobs()),
+		func(ab string) []float64 {
+			a := sums[ab]
+			return []float64{death(a, 0), death(a, 1), death(a, 2)}
+		},
+		"paper: 0.61/0.38/0.26 — declining, unlike the texture stream"), nil
 }
 
 // RunFig11 reproduces Figure 11: GSPZTC's sensitivity to the threshold
 // parameter t, reported as percent change in LLC misses relative to t=16.
 func RunFig11(o Options) (*Table, error) {
 	geom := o.Geometry(paperLLCBytes)
-	ts := []int{2, 4, 8, 16}
-	miss := map[string][]int64{}
-	err := forEachFrame(o, func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) error {
-		a := miss[j.App.Abbrev]
-		if a == nil {
-			a = make([]int64, len(ts))
-		}
-		rs := make([]frameResult, len(ts))
-		err := fanOut(o.ctx(), o.replayWorkers(), len(ts), func(ctx context.Context, i int) error {
-			var err error
-			rs[i], err = runOffline(ctx, tr, specGSPC(core.VariantGSPZTC, ts[i], false), geom, plan, noTracker)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		for i := range ts {
-			a[i] += rs[i].stats.Misses
-		}
-		miss[j.App.Abbrev] = a
-		return nil
-	})
+	var specs []policySpec
+	for _, t := range []int{2, 4, 8, 16} {
+		specs = append(specs, specGSPC(core.VariantGSPZTC, t, false))
+	}
+	miss, err := sweep(o, geom, specs, noTracker, misses)
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		Title:   fmt.Sprintf("Figure 11: GSPZTC misses, %% change vs t=16 (LLC %s)", geom),
-		Columns: []string{"t=2", "t=4", "t=8"},
-	}
-	order := appOrder(o.Jobs())
-	sums := make([]float64, 3)
-	for _, ab := range order {
-		a := miss[ab]
-		base := float64(a[3])
-		vals := []float64{
-			100 * (float64(a[0]) - base) / base,
-			100 * (float64(a[1]) - base) / base,
-			100 * (float64(a[2]) - base) / base,
-		}
-		for i, v := range vals {
-			sums[i] += v
-		}
-		t.AddRow(ab, vals...)
-	}
-	t.AddRow("MEAN", sums[0]/float64(len(order)), sums[1]/float64(len(order)), sums[2]/float64(len(order)))
-	t.Notes = append(t.Notes, "paper: near-flat on average; t=8 the most robust")
-	return t, nil
+	return appTable(fmt.Sprintf("Figure 11: GSPZTC misses, %% change vs t=16 (LLC %s)", geom),
+		[]string{"t=2", "t=4", "t=8"}, appOrder(o.Jobs()),
+		func(ab string) []float64 {
+			a := miss[ab]
+			base := float64(a[3])
+			return []float64{
+				100 * (float64(a[0]) - base) / base,
+				100 * (float64(a[1]) - base) / base,
+				100 * (float64(a[2]) - base) / base,
+			}
+		},
+		"paper: near-flat on average; t=8 the most robust"), nil
 }
 
 // fig12Specs returns the eight policies of Figure 12 in plot order.
@@ -626,33 +505,9 @@ func fig12Specs() []policySpec {
 // policies normalized to two-bit DRRIP.
 func RunFig12(o Options) (*Table, error) {
 	geom := o.Geometry(paperLLCBytes)
-	specs := fig12Specs()
-	missD, miss, err := missSweep(o, geom, specs)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{Title: fmt.Sprintf("Figure 12: LLC misses normalized to DRRIP (LLC %s)", geom)}
-	for _, s := range specs {
-		t.Columns = append(t.Columns, s.name)
-	}
-	order := appOrder(o.Jobs())
-	sums := make([]float64, len(specs))
-	for _, ab := range order {
-		vals := make([]float64, len(specs))
-		for i := range specs {
-			vals[i] = float64(miss[ab][i]) / float64(missD[ab])
-			sums[i] += vals[i]
-		}
-		t.AddRow(ab, vals...)
-	}
-	means := make([]float64, len(specs))
-	for i := range means {
-		means[i] = sums[i] / float64(len(order))
-	}
-	t.AddRow("MEAN", means...)
-	t.Notes = append(t.Notes,
+	return normalizedMissTable(o, geom,
+		fmt.Sprintf("Figure 12: LLC misses normalized to DRRIP (LLC %s)", geom), fig12Specs(),
 		"paper means: NRU 1.062, SHiP-mem ~1.0, GS-DRRIP 0.971, GSPZTC 0.952, GSPZTC+TSE 0.885, GSPC ~0.88, GSPC+UCD 0.869, DRRIP+UCD ~1.0")
-	return t, nil
 }
 
 // RunFig13 reproduces Figure 13: suite-average texture hit rate, RT
@@ -666,66 +521,42 @@ func RunFig13(o Options) (*Table, error) {
 		specGSPC(core.VariantGSPZTCTSE, 8, false),
 		specGSPC(core.VariantGSPC, 8, false),
 		specGSPC(core.VariantGSPC, 8, true),
+		specBelady(),
 	}
-	accs := make([]fig13Acc, len(specs)+1) // +1 for Belady
-	err := forEachFrame(o, func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) error {
-		rs := make([]frameResult, len(specs)+1)
-		err := fanOut(o.ctx(), o.replayWorkers(), len(specs)+1, func(ctx context.Context, i int) error {
-			var err error
-			if i == len(specs) {
-				rs[i], err = runBelady(ctx, tr, geom, plan, withTracker)
-			} else {
-				rs[i], err = runOffline(ctx, tr, specs[i], geom, plan, withTracker)
-			}
-			return err
-		})
-		if err != nil {
-			return err
+	// Per policy, four (numerator, denominator) pairs, one per column.
+	const per = 8
+	sums, err := sweep(o, geom, specs, withTracker, func(rs []frameResult) []int64 {
+		var v []int64
+		for _, r := range rs {
+			tk := r.tracker
+			v = append(v,
+				tk.KindHits(stream.Texture), tk.KindAccesses(stream.Texture),
+				tk.RTConsumed, tk.RTProduced,
+				tk.ReadHits[stream.RT], tk.ReadAccesses[stream.RT],
+				tk.KindHits(stream.Z), tk.KindAccesses(stream.Z))
 		}
-		for i := range rs {
-			collect13(&accs[i], rs[i])
-		}
-		return nil
+		return v
 	})
 	if err != nil {
 		return nil, err
+	}
+	suite := make([]int64, per*len(specs))
+	for _, a := range sums {
+		for i, v := range a {
+			suite[i] += v
+		}
 	}
 	t := &Table{
 		Title:   fmt.Sprintf("Figure 13: suite-average stream metrics, percent (LLC %s)", geom),
 		Columns: []string{"tex hit", "rt->tex cons", "rt read hit", "z hit"},
 	}
-	for i := range specs {
-		a := &accs[i]
-		t.AddRow(specs[i].name,
-			ratioPct(a.texHit, a.texTot), ratioPct(a.cons, a.prod),
-			ratioPct(a.rtHit, a.rtTot), ratioPct(a.zHit, a.zTot))
+	for i, s := range specs {
+		a := suite[per*i:]
+		t.AddRow(s.name, ratioPct(a[0], a[1]), ratioPct(a[2], a[3]), ratioPct(a[4], a[5]), ratioPct(a[6], a[7]))
 	}
-	a := &accs[len(specs)]
-	t.AddRow("Belady",
-		ratioPct(a.texHit, a.texTot), ratioPct(a.cons, a.prod),
-		ratioPct(a.rtHit, a.rtTot), ratioPct(a.zHit, a.zTot))
 	t.Notes = append(t.Notes,
 		"paper: metrics rise monotonically along GSPZTC -> GSPZTC+TSE; GSPC trades a little consumption for fewer misses; GS-DRRIP has the best z hit rate; GSPC rt hit 57.7 vs Belady 59.8")
 	return t, nil
-}
-
-// fig13Acc accumulates the four Figure 13 metrics for one policy.
-type fig13Acc struct {
-	texHit, texTot int64
-	cons, prod     int64
-	rtHit, rtTot   int64
-	zHit, zTot     int64
-}
-
-func collect13(a *fig13Acc, r frameResult) {
-	a.texHit += r.tracker.KindHits(stream.Texture)
-	a.texTot += r.tracker.KindAccesses(stream.Texture)
-	a.cons += r.tracker.RTConsumed
-	a.prod += r.tracker.RTProduced
-	a.rtHit += r.tracker.ReadHits[stream.RT]
-	a.rtTot += r.tracker.ReadAccesses[stream.RT]
-	a.zHit += r.tracker.KindHits(stream.Z)
-	a.zTot += r.tracker.KindAccesses(stream.Z)
 }
 
 // RunFig14 reproduces Figure 14: policies with identical replacement
@@ -738,69 +569,9 @@ func RunFig14(o Options) (*Table, error) {
 		{name: "GS-DRRIP-4", make: func() cachesim.Policy { return policy.NewGSDRRIP(4) }},
 		specGSPC(core.VariantGSPC, 8, true),
 	}
-	missD, miss, err := missSweep(o, geom, specs)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{Title: fmt.Sprintf("Figure 14: iso-overhead policies vs 2-bit DRRIP (LLC %s)", geom)}
-	for _, s := range specs {
-		t.Columns = append(t.Columns, s.name)
-	}
-	order := appOrder(o.Jobs())
-	sums := make([]float64, len(specs))
-	for _, ab := range order {
-		vals := make([]float64, len(specs))
-		for i := range specs {
-			vals[i] = float64(miss[ab][i]) / float64(missD[ab])
-			sums[i] += vals[i]
-		}
-		t.AddRow(ab, vals...)
-	}
-	means := make([]float64, len(specs))
-	for i := range means {
-		means[i] = sums[i] / float64(len(order))
-	}
-	t.AddRow("MEAN", means...)
-	t.Notes = append(t.Notes, "paper means: LRU 1.072, DRRIP-4 0.996, GS-DRRIP-4 0.983, GSPC 0.882")
-	return t, nil
-}
-
-// missSweep replays every selected frame under the DRRIP baseline and
-// each spec, accumulating per-app miss counts. It is the shared first
-// half of every normalized-miss figure. Each frame's replays — the
-// baseline plus every spec, all over the one shared packed trace — fan
-// out across the options' worker budget, and the sweep stops at the
-// first cancellation surfaced by the replay loops.
-func missSweep(o Options, geom cachesim.Geometry, specs []policySpec) (missD map[string]int64, miss map[string][]int64, err error) {
-	missD = map[string]int64{}
-	miss = map[string][]int64{}
-	err = forEachFrame(o, func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) error {
-		ab := j.App.Abbrev
-		rs := make([]frameResult, len(specs)+1)
-		err := fanOut(o.ctx(), o.replayWorkers(), len(specs)+1, func(ctx context.Context, i int) error {
-			var err error
-			if i == 0 {
-				rs[0], err = runOffline(ctx, tr, specDRRIP(), geom, plan, noTracker)
-			} else {
-				rs[i], err = runOffline(ctx, tr, specs[i-1], geom, plan, noTracker)
-			}
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		missD[ab] += rs[0].stats.Misses
-		a := miss[ab]
-		if a == nil {
-			a = make([]int64, len(specs))
-		}
-		for i := range specs {
-			a[i] += rs[i+1].stats.Misses
-		}
-		miss[ab] = a
-		return nil
-	})
-	return missD, miss, err
+	return normalizedMissTable(o, geom,
+		fmt.Sprintf("Figure 14: iso-overhead policies vs 2-bit DRRIP (LLC %s)", geom), specs,
+		"paper means: LRU 1.072, DRRIP-4 0.996, GS-DRRIP-4 0.983, GSPC 0.882")
 }
 
 func ratioPct(num, den int64) float64 {

@@ -27,18 +27,11 @@ func perfSpecs() []policySpec {
 // runPerf simulates the suite on the timing model and returns a table of
 // per-app fps normalized to DRRIP (+UCD), with absolute mean fps noted.
 func runPerf(o Options, title string, cfg gpu.Config) (*Table, error) {
-	specs := perfSpecs()
 	base := policySpec{name: "DRRIP", ucd: true, make: func() cachesim.Policy { return policy.NewDRRIP(2) }}
-
-	cycD := map[string]int64{}
-	cyc := map[string][]int64{}
-	var framesD, framesTot int64
-	var cycSumD int64
-	cycSum := make([]int64, len(specs))
-	err := forEachFrame(o, func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) error {
-		ab := j.App.Abbrev
-		cfgRun := cfg
-		cfgRun.UncachedDisplay = true
+	specs := append([]policySpec{base}, perfSpecs()...)
+	cfgRun := cfg
+	cfgRun.UncachedDisplay = true
+	cyc, err := perApp(o, func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) ([]int64, error) {
 		// Sampled fidelity applies interval sampling only (set sampling
 		// would distort queueing and DRAM row behavior): the timing model
 		// simulates the whole synthesized prefix, which is the warmup plus
@@ -52,71 +45,39 @@ func runPerf(o Options, title string, cfg gpu.Config) (*Table, error) {
 		}
 		// The timing simulator runs one whole trace per call and does not
 		// poll the context internally, so the fan-out's per-job context
-		// check bounds cancellation latency to one simulation — the same
-		// bound the former sequential loop had. Results are positional:
-		// index 0 is the DRRIP baseline, 1..len(specs) the evaluated
+		// check bounds cancellation latency to one simulation. Results are
+		// positional: index 0 is the DRRIP baseline, then the evaluated
 		// policies, all reading the one shared packed trace.
-		cycles := make([]int64, len(specs)+1)
-		err := fanOut(o.ctx(), o.replayWorkers(), len(specs)+1, func(ctx context.Context, i int) error {
-			spec := base
-			if i > 0 {
-				spec = specs[i-1]
-			}
+		cycles := make([]int64, len(specs))
+		err := fanOut(o.ctx(), o.replayWorkers(), len(specs), func(ctx context.Context, i int) error {
 			defer trackStage(ctx, pickTiming)()
-			defer telemetry.StartFrom(ctx, spec.name, "timing", telemetry.String("job", j.ID())).End()
-			cycles[i] = gpu.SimulateSource(tr, cfgRun, spec.make()).Cycles
+			defer telemetry.StartFrom(ctx, specs[i].name, "timing", telemetry.String("job", j.ID())).End()
+			cycles[i] = scale64(gpu.SimulateSource(tr, cfgRun, specs[i].make()).Cycles, cycleScale)
 			return nil
 		})
-		if err != nil {
-			return err
-		}
-		if cycleScale != 1 {
-			for i := range cycles {
-				cycles[i] = scale64(cycles[i], cycleScale)
-			}
-		}
-		cycD[ab] += cycles[0]
-		cycSumD += cycles[0]
-		framesD++
-		a := cyc[ab]
-		if a == nil {
-			a = make([]int64, len(specs))
-		}
-		for i := range specs {
-			a[i] += cycles[i+1]
-			cycSum[i] += cycles[i+1]
-		}
-		cyc[ab] = a
-		framesTot++
-		return nil
+		return cycles, err
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	t := &Table{Title: title}
-	for _, s := range specs {
-		t.Columns = append(t.Columns, s.name)
-	}
-	order := appOrder(o.Jobs())
-	sums := make([]float64, len(specs))
-	for _, ab := range order {
-		vals := make([]float64, len(specs))
-		for i := range specs {
+	jobs := o.Jobs()
+	t := appTable(title, specNames(specs[1:]), appOrder(jobs), func(ab string) []float64 {
+		c := cyc[ab]
+		vals := make([]float64, len(c)-1)
+		for i := range vals {
 			// Performance ratio = cycle ratio inverted.
-			vals[i] = float64(cycD[ab]) / float64(cyc[ab][i])
-			sums[i] += vals[i]
+			vals[i] = float64(c[0]) / float64(c[i+1])
 		}
-		t.AddRow(ab, vals...)
-	}
-	means := make([]float64, len(specs))
-	for i := range means {
-		means[i] = sums[i] / float64(len(order))
-	}
-	t.AddRow("MEAN", means...)
-	if framesD > 0 {
-		fpsD := cfg.ClockGHz * 1e9 * float64(framesD) / float64(cycSumD)
-		fpsG := cfg.ClockGHz * 1e9 * float64(framesTot) / float64(cycSum[len(specs)-1])
+		return vals
+	})
+	if frames := len(jobs); frames > 0 {
+		var cycD, cycG int64
+		for _, c := range cyc {
+			cycD += c[0]
+			cycG += c[len(c)-1]
+		}
+		fpsD := cfg.ClockGHz * 1e9 * float64(frames) / float64(cycD)
+		fpsG := cfg.ClockGHz * 1e9 * float64(frames) / float64(cycG)
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"model frame rates at this scale: DRRIP %.1f fps, GSPC %.1f fps (absolute values are model-specific)", fpsD, fpsG))
 	}

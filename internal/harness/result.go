@@ -133,7 +133,7 @@ func RunResult(id string, o Options) (*Result, error) {
 // returned error wraps ctx.Err() when the run was cut short, so callers
 // can errors.Is it against context.DeadlineExceeded / context.Canceled.
 func RunResultContext(ctx context.Context, id string, o Options) (*Result, error) {
-	e, ok := ByIDExt(id)
+	e, ok := ByID(id)
 	if !ok {
 		return nil, &UnknownExperimentError{ID: id}
 	}

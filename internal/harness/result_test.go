@@ -9,7 +9,7 @@ import (
 // TestResultSchemaVersionStamped: BuildResult stamps the current
 // schema version and DecodeResult round-trips it.
 func TestResultSchemaVersionStamped(t *testing.T) {
-	e, ok := ByIDExt("tab1")
+	e, ok := ByID("tab1")
 	if !ok {
 		t.Fatal("tab1 missing")
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"gspc/internal/analysis"
 	"gspc/internal/cachesim"
 	"gspc/internal/core"
 	"gspc/internal/policy"
@@ -357,7 +358,7 @@ func acquireFrame(ctx context.Context, o Options, j workload.FrameJob) (*stream.
 // on the cache, the analysis tracker, and the extractable policy
 // counters are zeroed while cache contents and learned policy state
 // carry over.
-func resetRunCounters(c *cachesim.Cache, tk *analysisTracker, pol cachesim.Policy) {
+func resetRunCounters(c *cachesim.Cache, tk *analysis.Tracker, pol cachesim.Policy) {
 	c.ResetCounters()
 	if tk != nil {
 		tk.ResetCounters()

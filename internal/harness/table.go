@@ -4,16 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"gspc/internal/analysis"
-	"gspc/internal/cachesim"
 )
-
-// analysisTracker aliases the characterization observer used by the
-// offline experiments.
-type analysisTracker = analysis.Tracker
-
-func attachTracker(c *cachesim.Cache) *analysis.Tracker { return analysis.Attach(c) }
 
 // Table is the text rendering of one experiment: one row per application
 // (plus a MEAN row) and one column per series. The JSON form is part of

@@ -67,7 +67,7 @@ func (e *BadRequestError) Error() string { return "service: bad request: " + e.R
 // requests for the same computation therefore normalize identically,
 // which is what makes Key a sound cache key.
 func (r Request) Normalize() (Request, error) {
-	if _, ok := harness.ByIDExt(r.Experiment); !ok {
+	if _, ok := harness.ByID(r.Experiment); !ok {
 		return r, &BadRequestError{Reason: fmt.Sprintf("unknown experiment %q", r.Experiment)}
 	}
 	if r.Scale < 0 || r.Scale > 4 {
