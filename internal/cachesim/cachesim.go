@@ -173,16 +173,28 @@ type Cache struct {
 	policy Policy
 
 	// indexSets is the set count addresses map through (the geometry's
-	// full count). It equals sets unless the cache is set-sampled, in
-	// which case sets is the sampled subset size, storage and policy
-	// state are in compact sampled-set space, and sampleMap translates
-	// a full-geometry set index to its compact index (-1 = unsampled).
+	// full count), and index reduces block numbers modulo it. It equals
+	// sets unless the cache is set-sampled, in which case sets is the
+	// sampled subset size, storage and policy state are in compact
+	// sampled-set space, and sampleMap translates a full-geometry set
+	// index to its compact index (-1 = unsampled).
 	indexSets int
+	index     fastmod
 	sample    SetSample
 	sampleMap []int32
 	// setAcc counts accesses per sampled set, feeding the variance
 	// estimate in SampleReport. Nil on unsampled caches.
 	setAcc []int64
+
+	// last memoizes the block the previous access left resident: its
+	// block number plus one (0 = none) and its compact set and way. A
+	// repeat of that block is a hit there, found without a set index or
+	// a tag scan. Hits and fills point the memo at their block. Only a
+	// fill evicts, and it repoints the memo at itself, so the memo never
+	// names an evicted block and needs no eviction hook; Reset and the
+	// two bypass exits clear it.
+	last             uint64
+	lastSet, lastWay int
 
 	// bypassKind[k] forces accesses of kind k to bypass the cache
 	// entirely (they are counted as misses and forwarded downstream).
@@ -227,6 +239,7 @@ func newCache(geom Geometry, policy Policy, sets int) *Cache {
 		geom:      geom,
 		sets:      sets,
 		indexSets: geom.Sets(),
+		index:     newFastmod(uint64(geom.Sets())),
 		ways:      geom.Ways,
 		policy:    policy,
 	}
@@ -272,7 +285,7 @@ func (c *Cache) BlockNumber(addr uint64) uint64 { return addr >> c.blockShift }
 // SetIndex returns the set an address maps to in the full geometry
 // (not the compact sampled index).
 func (c *Cache) SetIndex(addr uint64) int {
-	return int((addr >> c.blockShift) % uint64(c.indexSets))
+	return int(c.index.mod(addr >> c.blockShift))
 }
 
 // Lookup reports whether addr is resident and, if so, its location.
@@ -281,7 +294,7 @@ func (c *Cache) SetIndex(addr uint64) int {
 // reports (-1, -1, false).
 func (c *Cache) Lookup(addr uint64) (set, way int, ok bool) {
 	bn := c.BlockNumber(addr)
-	set = int(bn % uint64(c.indexSets))
+	set = int(c.index.mod(bn))
 	if c.sampleMap != nil {
 		cs := c.sampleMap[set]
 		if cs < 0 {
@@ -332,7 +345,30 @@ func (c *Cache) Emit(a stream.Access) { c.Access(a) }
 // are built only when an observer is attached.
 func (c *Cache) Access(a stream.Access) bool {
 	bn := a.Addr >> c.blockShift
-	set := int(bn % uint64(c.indexSets))
+	if bn+1 == c.last {
+		// A repeat of the block the previous access left resident: the
+		// scan's hit bookkeeping, without a set index or a tag scan. It
+		// is written out twice because routing both hits through one
+		// shared tail slowed the LLC replay, where repeats are rare,
+		// by 2-9%.
+		set, way := c.lastSet, c.lastWay
+		if c.setAcc != nil {
+			c.setAcc[set]++
+		}
+		c.Stats.Accesses++
+		c.Stats.KindAccesses[a.Kind]++
+		c.Stats.Hits++
+		c.Stats.KindHits[a.Kind]++
+		if a.Write {
+			c.dirty[set*c.ways+way] = true
+		}
+		c.policy.Hit(set, way, a)
+		if len(c.observers) != 0 {
+			c.notify(Event{Type: EvHit, Access: a, Set: set, Way: way, Tag: bn})
+		}
+		return true
+	}
+	set := int(c.index.mod(bn))
 	if c.sampleMap != nil {
 		cs := c.sampleMap[set]
 		if cs < 0 {
@@ -361,6 +397,7 @@ func (c *Cache) Access(a stream.Access) bool {
 			if len(c.observers) != 0 {
 				c.notify(Event{Type: EvHit, Access: a, Set: set, Way: w, Tag: bn})
 			}
+			c.last, c.lastSet, c.lastWay = bn+1, set, w
 			return true
 		}
 		if t == 0 {
@@ -376,6 +413,7 @@ func (c *Cache) Access(a stream.Access) bool {
 		// The access skips the cache entirely: reads fetch from
 		// downstream, writes go straight through.
 		c.Stats.Bypasses++
+		c.last = 0
 		if c.Downstream != nil {
 			c.Downstream.Emit(stream.Access{Addr: a.Addr, Kind: a.Kind, Write: a.Write})
 		}
@@ -396,6 +434,7 @@ func (c *Cache) Access(a stream.Access) bool {
 		way = c.policy.Victim(set, a)
 		if way < 0 {
 			c.Stats.Bypasses++
+			c.last = 0
 			if len(c.observers) != 0 {
 				c.notify(Event{Type: EvBypass, Access: a, Set: set, Way: -1, Tag: bn})
 			}
@@ -428,6 +467,7 @@ func (c *Cache) Access(a stream.Access) bool {
 	if len(c.observers) != 0 {
 		c.notify(Event{Type: EvFill, Access: a, Set: set, Way: way, Tag: bn})
 	}
+	c.last, c.lastSet, c.lastWay = bn+1, set, way
 	return false
 }
 
@@ -455,6 +495,7 @@ func (c *Cache) DrainWritebacks() {
 func (c *Cache) Reset() {
 	clear(c.tags)
 	clear(c.dirty)
+	c.last = 0
 	c.Stats = Stats{}
 	clear(c.setAcc)
 	c.policy.Reset(c.sets, c.ways)

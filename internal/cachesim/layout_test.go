@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -8,26 +9,51 @@ import (
 	"gspc/internal/stream"
 )
 
-// bypassingPolicy is fifoPolicy that declines every third block number
+// bypassingPolicy wraps a policy and declines every third block number
 // a victim (Victim returns -1), exercising policy bypass.
-type bypassingPolicy struct{ fifoPolicy }
+type bypassingPolicy struct{ Policy }
 
 func (p *bypassingPolicy) Victim(set int, a stream.Access) int {
 	if (a.Addr>>6)%3 == 0 {
 		return -1
 	}
-	return p.fifoPolicy.Victim(set, a)
+	return p.Policy.Victim(set, a)
 }
 
-// randomAccess maps quick-generated raw values to an access over a
-// small block pool (so sets fill, hit and evict) with a random stream
-// kind, write flag and intra-block offset.
-func randomAccess(ad uint16, meta uint8) stream.Access {
-	return stream.Access{
-		Addr:  uint64(ad%97)<<6 | uint64(ad>>10),
-		Kind:  stream.Kind(meta % uint8(stream.NumKinds)),
-		Write: meta&0x80 != 0,
+// testTrace is a quick-generated access trace over a pool of 2-97
+// blocks, evenly strided from a random base (so sets fill, hit and
+// evict, some traces crowd into a few sets, and block numbers span 57
+// bits), each access with a random stream kind, write flag and
+// intra-block offset. Half the traces are repeat-heavy: runs of 1-8
+// accesses to one block, each access with its own kind, write flag and
+// offset — the shape render caches see, which Cache.Access serves from
+// its resident-block memo. The caches under test are Reset before
+// access ResetAt; half the traces have no Reset.
+type testTrace struct {
+	Accs    []stream.Access
+	ResetAt int
+}
+
+// Generate implements quick.Generator.
+func (testTrace) Generate(r *rand.Rand, size int) reflect.Value {
+	base, pool, stride := r.Uint64()>>7, 2+r.Intn(96), uint64(1+r.Intn(16))
+	runs, maxRun := r.Intn(size+1), 1
+	if r.Intn(2) == 0 {
+		maxRun = 8
 	}
+	var tr testTrace
+	for range runs {
+		bn := base + uint64(r.Intn(pool))*stride
+		for range 1 + r.Intn(maxRun) {
+			tr.Accs = append(tr.Accs, stream.Access{
+				Addr:  bn<<6 | uint64(r.Intn(64)),
+				Kind:  stream.Kind(r.Intn(int(stream.NumKinds))),
+				Write: r.Intn(2) == 0,
+			})
+		}
+	}
+	tr.ResetAt = r.Intn(2*len(tr.Accs) + 1)
+	return reflect.ValueOf(tr)
 }
 
 // propertyCache builds a 16-set, 4-way cache with a bypassing policy,
@@ -35,9 +61,9 @@ func randomAccess(ad uint16, meta uint8) stream.Access {
 func propertyCache(sampled bool) *Cache {
 	geom := Geometry{SizeBytes: 16 * 4 * 64, Ways: 4, BlockSize: 64}
 	if sampled {
-		return NewSampled(geom, &bypassingPolicy{}, SetSample{Ratio: 2, Seed: 3})
+		return NewSampled(geom, &bypassingPolicy{&fifoPolicy{}}, SetSample{Ratio: 2, Seed: 3})
 	}
-	return New(geom, &bypassingPolicy{})
+	return New(geom, &bypassingPolicy{&fifoPolicy{}})
 }
 
 // blockState is one way's BlockAt result.
@@ -58,12 +84,14 @@ func blocks(c *Cache) []blockState {
 	return out
 }
 
-// TestObserversNeverChangeOutcomes replays random traces through two
-// identical caches, one with a recording observer and one without:
-// events are built only when an observer is attached, and attaching
-// one must not move a counter, a downstream emission or a block.
+// TestObserversNeverChangeOutcomes replays random traces, plain and
+// repeat-heavy, through two identical caches, one with a recording
+// observer and one without: events are built only when an observer is
+// attached, and attaching one must not move a counter, a downstream
+// emission or a block. The observer must see one event per hit, fill,
+// eviction and bypass since the last Reset.
 func TestObserversNeverChangeOutcomes(t *testing.T) {
-	f := func(addrs []uint16, metas []uint8, bypass uint8, noFetch, sampled bool) bool {
+	f := func(tr testTrace, bypass uint8, noFetch, sampled bool) bool {
 		var emitted [2][]stream.Access
 		var caches [2]*Cache
 		for i := range caches {
@@ -74,14 +102,14 @@ func TestObserversNeverChangeOutcomes(t *testing.T) {
 			c.Downstream = stream.SinkFunc(func(a stream.Access) { emitted[i] = append(emitted[i], a) })
 			caches[i] = c
 		}
-		var events []Event
-		caches[1].AddObserver(ObserverFunc(func(ev Event) { events = append(events, ev) }))
-		for i, ad := range addrs {
-			var m uint8
-			if i < len(metas) {
-				m = metas[i]
+		var events [EvBypass + 1]int64
+		caches[1].AddObserver(ObserverFunc(func(ev Event) { events[ev.Type]++ }))
+		for i, a := range tr.Accs {
+			if i == tr.ResetAt {
+				caches[0].Reset()
+				caches[1].Reset()
+				events = [EvBypass + 1]int64{}
 			}
-			a := randomAccess(ad, m)
 			if caches[0].Access(a) != caches[1].Access(a) {
 				return false
 			}
@@ -89,8 +117,9 @@ func TestObserversNeverChangeOutcomes(t *testing.T) {
 		for _, c := range caches {
 			c.DrainWritebacks()
 		}
-		if len(addrs) > 0 && caches[1].Stats.Accesses > 0 && len(events) == 0 {
-			return false // the observer must actually have been fed
+		s := caches[1].Stats
+		if events != [...]int64{EvHit: s.Hits, EvFill: s.Misses - s.Bypasses, EvEvict: s.Evictions, EvBypass: s.Bypasses} {
+			return false
 		}
 		return caches[0].Stats == caches[1].Stats &&
 			reflect.DeepEqual(emitted[0], emitted[1]) &&
@@ -119,21 +148,21 @@ func validPrefix(c *Cache) bool {
 }
 
 // TestValidWaysFormPrefix checks the packed tag layout's invariant on a
-// full and a set-sampled cache: after every access of a random trace
-// (with stream and policy bypasses), after DrainWritebacks, and after
-// Reset followed by more traffic.
+// full and a set-sampled cache: after every access of a random trace,
+// plain or repeat-heavy (with stream and policy bypasses and the
+// trace's Reset), after DrainWritebacks, and after Reset followed by
+// more traffic.
 func TestValidWaysFormPrefix(t *testing.T) {
-	f := func(addrs []uint16, metas []uint8, bypass uint8, sampled bool) bool {
+	f := func(tr testTrace, bypass uint8, sampled bool) bool {
 		c := propertyCache(sampled)
 		c.SetBypass(stream.Kind(bypass%uint8(stream.NumKinds)), true)
 		c.Downstream = stream.SinkFunc(func(stream.Access) {})
 		run := func() bool {
-			for i, ad := range addrs {
-				var m uint8
-				if i < len(metas) {
-					m = metas[i]
+			for i, a := range tr.Accs {
+				if i == tr.ResetAt {
+					c.Reset()
 				}
-				c.Access(randomAccess(ad, m))
+				c.Access(a)
 				if !validPrefix(c) {
 					return false
 				}

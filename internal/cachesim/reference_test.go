@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,12 +12,22 @@ import (
 // set-associative LRU cache: per-set slices searched linearly, recency
 // maintained by reordering. The production Cache with an LRU policy must
 // agree with it access-for-access — the analogue of the paper validating
-// its offline cache model against the detailed simulator.
+// its offline cache model against the detailed simulator. The model
+// also covers set sampling (accesses to unsampled sets change nothing
+// but a skip count), a bypassed stream kind, a policy that declines to
+// evict every third block number, and every Stats counter.
 type refCache struct {
 	sets       int
 	ways       int
 	blockShift uint
-	lines      [][]refLine // per set, MRU first
+	// compact maps a set to its sampled-set index, -1 when unsampled.
+	compact  []int
+	bypass   stream.Kind
+	declines bool
+	lines    [][]refLine // per set, MRU first
+	stats    Stats
+	// setAcc counts accesses per sampled set; nil when unsampled.
+	setAcc []int64
 }
 
 // refLine is one resident block. way is the physical way it occupies:
@@ -28,14 +39,44 @@ type refLine struct {
 	way   int
 }
 
-func newRefCache(sets, ways int, blockShift uint) *refCache {
-	return &refCache{sets: sets, ways: ways, blockShift: blockShift, lines: make([][]refLine, sets)}
+func newRefCache(sets, ways int, blockShift uint, sample SetSample, bypass stream.Kind, declines bool) *refCache {
+	r := &refCache{sets: sets, ways: ways, blockShift: blockShift, bypass: bypass, declines: declines}
+	n := 0
+	for s := 0; s < sets; s++ {
+		r.compact = append(r.compact, -1)
+		if !sample.Enabled() || sample.Selected(s) {
+			r.compact[s] = n
+			n++
+		}
+	}
+	if sample.Enabled() {
+		r.setAcc = make([]int64, n)
+	}
+	r.reset()
+	return r
 }
 
-// access returns (hit, evictedDirtyTag, hadDirtyEviction).
-func (r *refCache) access(a stream.Access) (bool, uint64, bool) {
+func (r *refCache) reset() {
+	r.lines = make([][]refLine, r.sets)
+	r.stats = Stats{}
+	clear(r.setAcc)
+}
+
+// access returns whether a hit, and the accesses the cache sends
+// downstream: the access itself when its kind bypasses, else a demand
+// fetch for a miss and a writeback when the fill evicts a dirty block.
+func (r *refCache) access(a stream.Access) (bool, []stream.Access) {
 	bn := a.Addr >> r.blockShift
 	set := int(bn % uint64(r.sets))
+	if r.compact[set] < 0 {
+		r.stats.SampledSkips++
+		return false, nil
+	}
+	if r.setAcc != nil {
+		r.setAcc[r.compact[set]]++
+	}
+	r.stats.Accesses++
+	r.stats.KindAccesses[a.Kind]++
 	ls := r.lines[set]
 	for i := range ls {
 		if ls[i].tag == bn {
@@ -45,33 +86,49 @@ func (r *refCache) access(a stream.Access) (bool, uint64, bool) {
 			}
 			copy(ls[1:i+1], ls[:i])
 			ls[0] = line
-			return true, 0, false
+			r.stats.Hits++
+			r.stats.KindHits[a.Kind]++
+			return true, nil
 		}
 	}
-	// Miss: insert at MRU, evict LRU if full.
-	var evTag uint64
-	var evDirty bool
+	r.stats.Misses++
+	r.stats.KindMisses[a.Kind]++
+	if a.Kind == r.bypass {
+		r.stats.Bypasses++
+		return false, []stream.Access{{Addr: a.Addr, Kind: a.Kind, Write: a.Write}}
+	}
+	down := []stream.Access{{Addr: a.Addr, Kind: a.Kind}}
+	// Miss: insert at MRU, evicting LRU if full (unless declined).
 	way := len(ls)
 	if len(ls) == r.ways {
+		if r.declines && bn%3 == 0 {
+			r.stats.Bypasses++
+			return false, down
+		}
 		ev := ls[len(ls)-1]
-		evTag, evDirty, way = ev.tag, ev.dirty, ev.way
+		r.stats.Evictions++
+		if ev.dirty {
+			r.stats.Writebacks++
+			down = append(down, stream.Access{Addr: ev.tag << r.blockShift, Kind: stream.RT, Write: true})
+		}
+		way = ev.way
 		ls = ls[:len(ls)-1]
 	}
-	ls = append([]refLine{{tag: bn, dirty: a.Write, way: way}}, ls...)
-	r.lines[set] = ls
-	return false, evTag, evDirty
+	r.lines[set] = append([]refLine{{tag: bn, dirty: a.Write, way: way}}, ls...)
+	return false, down
 }
 
-// find returns the resident line holding addr's block, if any.
+// find returns the resident line holding addr's block, if any, and the
+// block's set in compact index space (-1 when unsampled).
 func (r *refCache) find(addr uint64) (set int, line refLine, ok bool) {
 	bn := addr >> r.blockShift
-	set = int(bn % uint64(r.sets))
-	for _, l := range r.lines[set] {
+	full := int(bn % uint64(r.sets))
+	for _, l := range r.lines[full] {
 		if l.tag == bn {
-			return set, l, true
+			return r.compact[full], l, true
 		}
 	}
-	return set, refLine{}, false
+	return r.compact[full], refLine{}, false
 }
 
 // agrees reports whether c's Lookup of addr and its BlockAt and
@@ -85,12 +142,15 @@ func (r *refCache) agrees(c *Cache, addr uint64) bool {
 	n := 0
 	for s, ls := range r.lines {
 		n += len(ls)
+		if r.compact[s] < 0 {
+			continue
+		}
 		byWay := make([]*refLine, r.ways)
 		for i := range ls {
 			byWay[ls[i].way] = &ls[i]
 		}
 		for w, l := range byWay {
-			tag, valid, dirty := c.BlockAt(s, w)
+			tag, valid, dirty := c.BlockAt(r.compact[s], w)
 			if l == nil {
 				if valid || tag != 0 || dirty {
 					return false
@@ -104,23 +164,27 @@ func (r *refCache) agrees(c *Cache, addr uint64) bool {
 }
 
 // lruPolicy mirrors policy.LRU without importing it (cachesim cannot
-// depend on the policy package).
+// depend on the policy package). It also counts Hit calls since Reset:
+// a repeated hit leaves LRU order unchanged, so only the count shows
+// whether every hit reached the policy.
 type lruPolicy struct {
 	ways  int
 	clock uint64
 	stamp []uint64
+	hits  int64
 }
 
 func (p *lruPolicy) Name() string { return "lru-ref" }
 func (p *lruPolicy) Reset(sets, ways int) {
 	p.ways = ways
 	p.stamp = make([]uint64, sets*ways)
+	p.hits = 0
 }
 func (p *lruPolicy) touch(set, way int) {
 	p.clock++
 	p.stamp[set*p.ways+way] = p.clock
 }
-func (p *lruPolicy) Hit(set, way int, a stream.Access)  { p.touch(set, way) }
+func (p *lruPolicy) Hit(set, way int, a stream.Access)  { p.hits++; p.touch(set, way) }
 func (p *lruPolicy) Fill(set, way int, a stream.Access) { p.touch(set, way) }
 func (p *lruPolicy) Victim(set int, a stream.Access) int {
 	base := set * p.ways
@@ -134,48 +198,52 @@ func (p *lruPolicy) Victim(set int, a stream.Access) int {
 }
 func (p *lruPolicy) Evict(set, way int) { p.stamp[set*p.ways+way] = 0 }
 
-// TestAgainstReferenceModel replays random traces through both models
-// and demands identical hit/miss outcomes and dirty-eviction streams,
-// and after every access identical Lookup results (for the accessed
-// address and one other), BlockAt contents way by way, and Occupancy.
+// TestAgainstReferenceModel replays random traces, plain and
+// repeat-heavy, through both models on a full and a set-sampled cache,
+// with one stream kind bypassed and optionally a policy that declines
+// victims. It demands identical hit/miss outcomes, downstream streams
+// and per-set access counts, and after every access identical Stats,
+// Lookup results (for the accessed address and one other), BlockAt
+// contents way by way, Occupancy, and one policy Hit call per hit. Both
+// models are Reset where the trace says.
 func TestAgainstReferenceModel(t *testing.T) {
-	f := func(addrs []uint16, writes []bool) bool {
+	f := func(tr testTrace, bypass uint8, sampled, declines bool) bool {
 		const sets, ways = 8, 4
-		c := New(Geometry{SizeBytes: sets * ways * 64, Ways: ways, BlockSize: 64}, &lruPolicy{})
-		var gotWB []uint64
-		c.Downstream = stream.SinkFunc(func(a stream.Access) {
-			if a.Write {
-				gotWB = append(gotWB, a.Addr>>6)
+		var sample SetSample
+		if sampled {
+			sample = SetSample{Ratio: 2, Seed: 3}
+		}
+		lru := &lruPolicy{}
+		var pol Policy = lru
+		if declines {
+			pol = &bypassingPolicy{lru}
+		}
+		c := NewSampled(Geometry{SizeBytes: sets * ways * 64, Ways: ways, BlockSize: 64}, pol, sample)
+		kind := stream.Kind(bypass % uint8(stream.NumKinds))
+		c.SetBypass(kind, true)
+		c.WritebackKind = stream.RT
+		var got, want []stream.Access
+		c.Downstream = stream.SinkFunc(func(a stream.Access) { got = append(got, a) })
+		ref := newRefCache(sets, ways, 6, sample, kind, declines)
+		for i, a := range tr.Accs {
+			if i == tr.ResetAt {
+				c.Reset()
+				ref.reset()
 			}
-		})
-		ref := newRefCache(sets, ways, 6)
-		var wantWB []uint64
-		for i, ad := range addrs {
-			a := stream.Access{Addr: uint64(ad) * 16, Write: i < len(writes) && writes[i]}
 			hit := c.Access(a)
-			refHit, evTag, evDirty := ref.access(a)
-			if hit != refHit {
+			refHit, down := ref.access(a)
+			want = append(want, down...)
+			if hit != refHit || c.Stats != ref.stats || lru.hits != ref.stats.Hits {
 				return false
 			}
-			other := uint64(addrs[(i*7+3)%len(addrs)]) * 16
+			other := tr.Accs[(i*7+3)%len(tr.Accs)].Addr
 			if !ref.agrees(c, a.Addr) || !ref.agrees(c, other) {
 				return false
 			}
-			if evDirty {
-				wantWB = append(wantWB, evTag)
-			}
 		}
-		if len(gotWB) != len(wantWB) {
-			return false
-		}
-		for i := range gotWB {
-			if gotWB[i] != wantWB[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(got, want) && slices.Equal(c.setAcc, ref.setAcc)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
@@ -185,7 +253,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 func TestReferenceModelLongTrace(t *testing.T) {
 	const sets, ways = 16, 8
 	c := New(Geometry{SizeBytes: sets * ways * 64, Ways: ways, BlockSize: 64}, &lruPolicy{})
-	ref := newRefCache(sets, ways, 6)
+	ref := newRefCache(sets, ways, 6, SetSample{}, stream.NumKinds, false)
 	var addr uint64
 	for i := 0; i < 50000; i++ {
 		switch i % 5 {
@@ -197,7 +265,7 @@ func TestReferenceModelLongTrace(t *testing.T) {
 			addr = uint64((i*7)%777) * 64 // strided
 		}
 		a := stream.Access{Addr: addr, Write: i%4 == 0}
-		if c.Access(a) != func() bool { h, _, _ := ref.access(a); return h }() {
+		if hit, _ := ref.access(a); c.Access(a) != hit {
 			t.Fatalf("divergence at access %d (addr %#x)", i, addr)
 		}
 	}

@@ -52,7 +52,7 @@ func ReplaySourceRange(ctx context.Context, c *Cache, tr *stream.Trace, lo, hi, 
 	defer telemetry.StartFrom(ctx, "replay", "cachesim", telemetry.Int("accesses", int64(hi-lo))).End()
 	addrs, meta := tr.Records()
 	sm := c.sampleMap
-	shift, idx := c.blockShift, uint64(c.indexSets)
+	shift, idx := c.blockShift, c.index
 	var skipped int64
 	for start, end := lo, lo; start < hi; start = end {
 		if err := ctx.Err(); err != nil {
@@ -64,7 +64,7 @@ func ReplaySourceRange(ctx context.Context, c *Cache, tr *stream.Trace, lo, hi, 
 			end = start + stride
 		}
 		for i := start; i < end; i++ {
-			if sm != nil && sm[(addrs[i]>>shift)%idx] < 0 {
+			if sm != nil && sm[idx.mod(addrs[i]>>shift)] < 0 {
 				skipped++
 				continue
 			}

@@ -255,7 +255,6 @@ func specGSPC(v core.Variant, t int, ucd bool) policySpec {
 type frameResult struct {
 	stats   cachesim.Stats
 	tracker *analysis.Tracker
-	insert  core.InsertionStats
 	drrip   drripFillStats
 }
 
@@ -321,9 +320,6 @@ func runOffline(ctx context.Context, tr *stream.Trace, spec policySpec, geom cac
 	}
 	recordLLCStats(&c.Stats)
 	res := frameResult{stats: c.Stats, tracker: tk}
-	if g, ok := pol.(*core.Policy); ok {
-		res.insert = g.Insertions
-	}
 	if d, ok := pol.(*policy.DRRIP); ok {
 		res.drrip = drripFillStats{fills: d.FillsByKind, distant: d.DistantFillsByKind}
 	}

@@ -423,16 +423,6 @@ func scaleFrameResult(r *frameResult, f float64) {
 			tk.ZEntries[i] = scale64(tk.ZEntries[i], f)
 		}
 	}
-	in := &r.insert
-	in.ZDistant = scale64(in.ZDistant, f)
-	in.ZLong = scale64(in.ZLong, f)
-	in.TexDistant = scale64(in.TexDistant, f)
-	in.TexZero = scale64(in.TexZero, f)
-	in.RTDistant = scale64(in.RTDistant, f)
-	in.RTLong = scale64(in.RTLong, f)
-	in.RTZero = scale64(in.RTZero, f)
-	in.TexHitDistant = scale64(in.TexHitDistant, f)
-	in.TexHitZero = scale64(in.TexHitZero, f)
 	scaleKinds(&r.drrip.fills, f)
 	scaleKinds(&r.drrip.distant, f)
 }

@@ -7,7 +7,10 @@
 // surface geometry rather than from synthetic randomness.
 package memmap
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // BlockSize is the cache block (and tile) size in bytes across the model.
 const BlockSize = 64
@@ -50,9 +53,12 @@ type Surface struct {
 	Width, Height int
 	BytesPerPixel int
 
-	tileW, tileH int
-	tilesPerRow  int
-	tilesPerCol  int
+	// Tile dimensions and the pixel size are powers of two (tileShape),
+	// so Addr splits a coordinate into tile and in-tile parts with
+	// shifts and masks: tileW = 1<<tileWShift, and so on.
+	tileWShift, tileHShift, pixelShift uint
+	tilesPerRow                        int
+	tilesPerCol                        int
 
 	layout     Layout
 	mortonSide int
@@ -87,8 +93,9 @@ func NewSurface(a *Allocator, w, h, bpp int) *Surface {
 		Width:         w,
 		Height:        h,
 		BytesPerPixel: bpp,
-		tileW:         tw,
-		tileH:         th,
+		tileWShift:    uint(bits.TrailingZeros(uint(tw))),
+		tileHShift:    uint(bits.TrailingZeros(uint(th))),
+		pixelShift:    uint(bits.TrailingZeros(uint(bpp))),
 		tilesPerRow:   (w + tw - 1) / tw,
 		tilesPerCol:   (h + th - 1) / th,
 	}
@@ -101,10 +108,10 @@ func NewSurface(a *Allocator, w, h, bpp int) *Surface {
 func (s *Surface) SizeBytes() int { return s.footprintBlocks() * BlockSize }
 
 // TileW returns the tile width in pixels.
-func (s *Surface) TileW() int { return s.tileW }
+func (s *Surface) TileW() int { return 1 << s.tileWShift }
 
 // TileH returns the tile height in pixels.
-func (s *Surface) TileH() int { return s.tileH }
+func (s *Surface) TileH() int { return 1 << s.tileHShift }
 
 // TilesPerRow returns the number of tiles per surface row.
 func (s *Surface) TilesPerRow() int { return s.tilesPerRow }
@@ -128,9 +135,9 @@ func clamp(v, n int) int {
 func (s *Surface) Addr(x, y int) uint64 {
 	x = clamp(x, s.Width)
 	y = clamp(y, s.Height)
-	tile := s.tileIndex(x/s.tileW, y/s.tileH)
-	off := ((y%s.tileH)*s.tileW + x%s.tileW) * s.BytesPerPixel
-	return s.Base + uint64(tile*BlockSize+off)
+	tile := s.tileIndex(x>>s.tileWShift, y>>s.tileHShift)
+	inTile := (y&(1<<s.tileHShift-1))<<s.tileWShift | x&(1<<s.tileWShift-1)
+	return s.Base + uint64(tile*BlockSize+inTile<<s.pixelShift)
 }
 
 // TileAddr returns the block address of tile (tx, ty).

@@ -213,30 +213,51 @@ func TestTextureSizeBytes(t *testing.T) {
 	}
 }
 
-// Property: every pixel address lands inside the surface allocation and
-// pixel->address is deterministic.
+// refAddr is the division-and-modulo addressing formula Surface.Addr
+// computes with shifts and masks: clamp, split each coordinate into a
+// tile and an in-tile position, then order the tiles by the layout.
+func refAddr(s *Surface, x, y int) uint64 {
+	tw, th := tileShape(s.BytesPerPixel)
+	x = min(max(x, 0), s.Width-1)
+	y = min(max(y, 0), s.Height-1)
+	tile := (y/th)*s.TilesPerRow() + x/tw
+	if s.LayoutKind() == LayoutMorton {
+		tile = mortonIndex(x/tw, y/th)
+	}
+	off := ((y%th)*tw + x%tw) * s.BytesPerPixel
+	return s.Base + uint64(tile*BlockSize+off)
+}
+
+// Property: for every pixel size and both layouts, on arbitrary surface
+// shapes and coordinates — including ones past either edge, which
+// clamp — Addr matches refAddr and lands inside the surface allocation.
 func TestSurfaceAddrProperty(t *testing.T) {
-	f := func(w8, h8 uint8, xs, ys []int16) bool {
-		w := int(w8%200) + 1
-		h := int(h8%200) + 1
-		a := NewAllocator(0x100000)
-		s := NewSurface(a, w, h, 4)
-		n := len(xs)
-		if len(ys) < n {
-			n = len(ys)
+	f := func(w8, h8, bppSel uint8, morton bool, xs, ys []int16) bool {
+		w, h := int(w8%200)+1, int(h8%200)+1
+		bpp := 1 << (bppSel % 5)
+		layout := LayoutRowMajor
+		if morton {
+			layout = LayoutMorton
 		}
-		for i := 0; i < n; i++ {
-			addr := s.Addr(int(xs[i]), int(ys[i]))
-			if !s.Contains(addr) {
-				return false
+		s := NewSurfaceLayout(NewAllocator(0x100000), w, h, bpp, layout)
+		coords := func(raw []int16, n int) []int {
+			cs := []int{-1 << 40, -1, 0, n - 1, n, 1 << 40}
+			for _, v := range raw {
+				cs = append(cs, int(v))
 			}
-			if addr != s.Addr(int(xs[i]), int(ys[i])) {
-				return false
+			return cs
+		}
+		for _, x := range coords(xs, w) {
+			for _, y := range coords(ys, h) {
+				addr := s.Addr(x, y)
+				if addr != refAddr(s, x, y) || !s.Contains(addr) {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

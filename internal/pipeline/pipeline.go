@@ -401,12 +401,17 @@ func (r *Renderer) shadePixel(p *Pass, d *Draw, texs []texCtx, x, y int, rng *xr
 }
 
 // sampleBilinear issues the four taps of a bilinear filter with wrap
-// addressing on the given MIP level surface.
+// addressing on the given MIP level surface. Each axis wraps once: the
+// second tap is the first plus one, wrapped past the edge to zero.
 func (r *Renderer) sampleBilinear(s *memmap.Surface, u, v float64) {
-	iu, iv := int(u), int(v)
-	w, h := s.Width, s.Height
-	u0, v0 := wrap(iu, w), wrap(iv, h)
-	u1, v1 := wrap(iu+1, w), wrap(iv+1, h)
+	u0, v0 := wrap(int(u), s.Width), wrap(int(v), s.Height)
+	u1, v1 := u0+1, v0+1
+	if u1 == s.Width {
+		u1 = 0
+	}
+	if v1 == s.Height {
+		v1 = 0
+	}
 	r.rc.Texture(s.Addr(u0, v0))
 	r.rc.Texture(s.Addr(u1, v0))
 	r.rc.Texture(s.Addr(u0, v1))

@@ -29,24 +29,43 @@ func (c *Collector) Emit(a stream.Access) {
 	c.Accesses = append(c.Accesses, a)
 }
 
-// sizeHints remembers the most recent trace length per (job, scale), so
-// repeat synthesis of a frame — benchmarks, sweeps with the trace cache
-// disabled or evicting — pre-sizes its collector instead of paying a
-// dozen append regrowths of a multi-megabyte buffer. The hint only
-// shapes allocation, never content.
-var sizeHints sync.Map // "job|scale" -> int
+// sizeHints remembers the most recent trace length per (frame, scale),
+// so repeat synthesis of a frame — benchmarks, sweeps with the trace
+// cache disabled or evicting — pre-sizes its collector instead of paying
+// a dozen append regrowths of a multi-megabyte buffer. The hint only
+// shapes allocation, never content. A long-lived server synthesizes at
+// any scale a request names, so the map holds at most maxSizeHints
+// entries: recording a new key into a full map first drops an
+// arbitrary one.
+var sizeHints = struct {
+	sync.Mutex
+	m map[hintKey]int
+}{m: map[hintKey]int{}}
 
-func hintKey(job workload.FrameJob, scale float64) string {
-	return fmt.Sprintf("%s|%g", job.ID(), scale)
+// maxSizeHints bounds sizeHints. The suite's 52 frames at a few dozen
+// distinct scales fit.
+const maxSizeHints = 2048
+
+// hintKey identifies a synthesized frame without formatting its job ID.
+type hintKey struct {
+	app   string
+	frame int
+	scale float64
+}
+
+func hintKeyOf(job workload.FrameJob, scale float64) hintKey {
+	return hintKey{app: job.App.Abbrev, frame: job.Index, scale: scale}
 }
 
 // EstimateAccesses returns the expected LLC trace length for a frame at
 // the given scale: the remembered length of the last synthesis of this
-// exact (job, scale), otherwise an area-proportional estimate from any
-// recorded scale of the same job, otherwise a conservative floor.
+// exact (job, scale), otherwise an area-proportional estimate, floored.
 func EstimateAccesses(job workload.FrameJob, scale float64) int {
-	if v, ok := sizeHints.Load(hintKey(job, scale)); ok {
-		return v.(int)
+	sizeHints.Lock()
+	n, ok := sizeHints.m[hintKeyOf(job, scale)]
+	sizeHints.Unlock()
+	if ok {
+		return n
 	}
 	// Trace length grows roughly with frame area. A small floor avoids
 	// silly tiny allocations without risking a large over-commit.
@@ -58,7 +77,16 @@ func EstimateAccesses(job workload.FrameJob, scale float64) int {
 }
 
 func recordSize(job workload.FrameJob, scale float64, n int) {
-	sizeHints.Store(hintKey(job, scale), n)
+	k := hintKeyOf(job, scale)
+	sizeHints.Lock()
+	defer sizeHints.Unlock()
+	if _, ok := sizeHints.m[k]; !ok && len(sizeHints.m) >= maxSizeHints {
+		for old := range sizeHints.m {
+			delete(sizeHints.m, old)
+			break
+		}
+	}
+	sizeHints.m[k] = n
 }
 
 // GenerateFrame renders one suite frame at the given linear scale through

@@ -181,3 +181,24 @@ func TestHugeCountHeaderFailsFast(t *testing.T) {
 		t.Fatal("truncated huge-count trace accepted")
 	}
 }
+
+// TestSizeHintsBounded records hints for 10,000 distinct scales — what a
+// long-lived server sees when requests name arbitrary scales — and
+// requires the hint map to stay within its cap while the latest
+// recorded hint is still returned.
+func TestSizeHintsBounded(t *testing.T) {
+	job := workload.Suite()[0]
+	for i := 1; i <= 10_000; i++ {
+		scale := float64(i) / 2500
+		recordSize(job, scale, 1_000_000+i)
+		if got := EstimateAccesses(job, scale); got != 1_000_000+i {
+			t.Fatalf("scale %g: hint %d, want %d", scale, got, 1_000_000+i)
+		}
+	}
+	sizeHints.Lock()
+	n := len(sizeHints.m)
+	sizeHints.Unlock()
+	if n > maxSizeHints {
+		t.Errorf("%d size hints after 10,000 scales, cap %d", n, maxSizeHints)
+	}
+}
