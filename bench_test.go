@@ -211,13 +211,13 @@ func BenchmarkTable6(b *testing.B) {
 // --- Micro-benchmarks of the core components ---
 
 // BenchmarkTraceGeneration measures the full pipeline + render cache
-// synthesis of one frame's LLC trace.
+// synthesis of one frame's LLC trace into a fresh packed trace — the
+// work a trace-cache miss pays.
 func BenchmarkTraceGeneration(b *testing.B) {
 	job := workload.Suite()[14]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := trace.GenerateFrame(job, 0.15)
-		if len(tr) == 0 {
+		if trace.GeneratePacked(job, 0.15).Len() == 0 {
 			b.Fatal("empty trace")
 		}
 	}
@@ -299,9 +299,8 @@ func BenchmarkLLCAccessBeladyPacked(b *testing.B) {
 	benchReplayPacked(b, func() cachesim.Policy { return belady.NewOPT(next) }, false)
 }
 
-// BenchmarkTraceGenerationPacked measures synthesis straight into the
-// packed representation (no []stream.Access intermediate), reusing one
-// buffer across iterations the way the ablation sweeps do.
+// BenchmarkTraceGenerationPacked measures the same synthesis reusing one
+// packed buffer across iterations, the way the ablation sweeps do.
 func BenchmarkTraceGenerationPacked(b *testing.B) {
 	job := workload.Suite()[14]
 	cfg := rendercache.DefaultConfig().Scaled(0.15)

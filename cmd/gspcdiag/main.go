@@ -8,10 +8,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
-	"strconv"
 	"strings"
 
 	"gspc/internal/analysis"
@@ -24,31 +25,15 @@ import (
 	"gspc/internal/workload"
 )
 
-func run(tr []stream.Access, pol cachesim.Policy, geom cachesim.Geometry, ucd bool) (*cachesim.Cache, *analysis.Tracker) {
+func run(tr *stream.Trace, pol cachesim.Policy, geom cachesim.Geometry, ucd bool) (*cachesim.Cache, *analysis.Tracker) {
 	c := cachesim.New(geom, pol)
 	if ucd {
 		c.SetBypass(stream.Display, true)
 	}
 	tk := analysis.Attach(c)
-	for _, a := range tr {
-		c.Access(a)
-	}
+	// context.Background never cancels, so the replay always completes.
+	_ = cachesim.ReplaySource(context.Background(), c, tr, 0)
 	return c, tk
-}
-
-func parseSize(s string) (int, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
-	mult := 1
-	switch {
-	case strings.HasSuffix(s, "MB"):
-		mult = 1 << 20
-		s = s[:len(s)-2]
-	case strings.HasSuffix(s, "KB"):
-		mult = 1 << 10
-		s = s[:len(s)-2]
-	}
-	v, err := strconv.Atoi(s)
-	return v * mult, err
 }
 
 func main() {
@@ -59,12 +44,20 @@ func main() {
 		llc    = flag.String("llc", "768KB", "LLC capacity")
 	)
 	flag.Parse()
-	size, err := parseSize(*llc)
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "gspcdiag: -scale %v is not a finite positive number\n", *scale)
+		os.Exit(2)
+	}
+	size, err := cachesim.ParseSize(*llc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gspcdiag: bad -llc:", err)
 		os.Exit(2)
 	}
 	geom := cachesim.Geometry{SizeBytes: size, Ways: 16, BlockSize: 64}
+	if err := geom.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "gspcdiag: bad -llc:", err)
+		os.Exit(2)
+	}
 
 	for _, ab := range strings.Split(*apps, ",") {
 		p, ok := workload.ProfileByAbbrev(strings.TrimSpace(ab))
@@ -78,14 +71,14 @@ func main() {
 		}
 		for idx := 0; idx < n; idx++ {
 			job := workload.FrameJob{App: p, Index: idx}
-			tr := trace.GenerateFrame(job, *scale)
+			tr := trace.GeneratePacked(job, *scale)
 
 			cd, td := run(tr, policy.NewDRRIP(2), geom, false)
 			g := core.New(core.DefaultParams(core.VariantGSPC))
 			cg, tg := run(tr, g, geom, true)
-			_, to := run(tr, belady.NewOPT(belady.NextUse(tr, 6)), geom, false)
+			_, to := run(tr, belady.NewOPT(belady.NextUseTrace(tr, 6)), geom, false)
 
-			fmt.Printf("%s (%d LLC accesses, LLC %s)\n", job.ID(), len(tr), geom)
+			fmt.Printf("%s (%d LLC accesses, LLC %s)\n", job.ID(), tr.Len(), geom)
 			fmt.Printf("  misses: DRRIP %d, GSPC+UCD %d (%+.1f%%)\n",
 				cd.Stats.Misses, cg.Stats.Misses,
 				100*float64(cg.Stats.Misses-cd.Stats.Misses)/float64(cd.Stats.Misses))

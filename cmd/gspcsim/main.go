@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -54,6 +55,10 @@ func main() {
 		return
 	}
 
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "gspcsim: -scale %v is not a finite positive number\n", *scale)
+		os.Exit(2)
+	}
 	opts := harness.DefaultOptions()
 	opts.Scale = *scale
 	opts.CapacityFactor = *capf

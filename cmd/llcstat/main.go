@@ -8,10 +8,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"gspc/internal/analysis"
@@ -23,25 +23,7 @@ import (
 	"gspc/internal/trace"
 )
 
-func parseSize(s string) (int, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
-	mult := 1
-	switch {
-	case strings.HasSuffix(s, "MB"):
-		mult = 1 << 20
-		s = s[:len(s)-2]
-	case strings.HasSuffix(s, "KB"):
-		mult = 1 << 10
-		s = s[:len(s)-2]
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("want a size like 8MB or 768KB")
-	}
-	return v * mult, nil
-}
-
-func makePolicy(name string, tr []stream.Access) (cachesim.Policy, error) {
+func makePolicy(name string, tr *stream.Trace) (cachesim.Policy, error) {
 	switch strings.ToUpper(name) {
 	case "DRRIP":
 		return policy.NewDRRIP(2), nil
@@ -62,7 +44,7 @@ func makePolicy(name string, tr []stream.Access) (cachesim.Policy, error) {
 	case "GSPC":
 		return core.New(core.DefaultParams(core.VariantGSPC)), nil
 	case "BELADY", "OPT":
-		return belady.NewOPT(belady.NextUse(tr, 6)), nil
+		return belady.NewOPT(belady.NextUseTrace(tr, 6)), nil
 	default:
 		return nil, fmt.Errorf("unknown policy %q", name)
 	}
@@ -87,16 +69,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "llcstat:", err)
 		os.Exit(1)
 	}
-	tr, err := trace.Read(f)
+	tr, err := trace.ReadTrace(f)
 	f.Close()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "llcstat:", err)
 		os.Exit(1)
 	}
 
-	size, err := parseSize(*llc)
+	size, err := cachesim.ParseSize(*llc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "llcstat: bad -llc:", err)
+		os.Exit(2)
+	}
+	geom := cachesim.Geometry{SizeBytes: size, Ways: *ways, BlockSize: 64}
+	if err := geom.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "llcstat: bad -llc/-ways:", err)
 		os.Exit(2)
 	}
 	pol, err := makePolicy(*polName, tr)
@@ -105,16 +92,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	c := cachesim.New(cachesim.Geometry{SizeBytes: size, Ways: *ways, BlockSize: 64}, pol)
+	c := cachesim.New(geom, pol)
 	if *ucd {
 		c.SetBypass(stream.Display, true)
 	}
 	tk := analysis.Attach(c)
-	for _, a := range tr {
-		c.Access(a)
-	}
+	// context.Background never cancels, so the replay always completes.
+	_ = cachesim.ReplaySource(context.Background(), c, tr, 0)
 
-	fmt.Printf("trace: %s (%d accesses)\n", *tracePath, len(tr))
+	fmt.Printf("trace: %s (%d accesses)\n", *tracePath, tr.Len())
 	fmt.Printf("llc:   %s, policy %s\n\n", c.Geometry(), pol.Name())
 	fmt.Printf("%-10s %10s %10s %8s\n", "stream", "accesses", "hits", "hit%")
 	for _, k := range stream.Kinds() {

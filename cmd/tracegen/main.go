@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,6 +29,10 @@ func main() {
 		template = flag.Bool("template", false, "print the built-in suite as JSON (a template for -profiles) and exit")
 	)
 	flag.Parse()
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "tracegen: -scale %v is not a finite positive number\n", *scale)
+		os.Exit(2)
+	}
 
 	if *template {
 		if err := workload.MarshalSuite(os.Stdout, workload.Profiles()); err != nil {
@@ -79,7 +84,7 @@ func main() {
 		}
 		perApp[j.App.Abbrev]++
 
-		tr := trace.GenerateFrame(j, *scale)
+		tr := trace.GeneratePacked(j, *scale)
 		name := fmt.Sprintf("%s_%d.trc", j.App.Abbrev, j.Index)
 		path := filepath.Join(*out, name)
 		f, err := os.Create(path)
@@ -87,7 +92,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tracegen:", err)
 			os.Exit(1)
 		}
-		if err := trace.Write(f, tr); err != nil {
+		if err := trace.WriteTrace(f, tr); err != nil {
 			f.Close()
 			fmt.Fprintln(os.Stderr, "tracegen:", err)
 			os.Exit(1)
@@ -96,6 +101,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tracegen:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("%s: %d accesses\n", path, len(tr))
+		fmt.Printf("%s: %d accesses\n", path, tr.Len())
 	}
 }

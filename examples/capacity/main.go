@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"gspc/internal/belady"
@@ -19,10 +20,10 @@ import (
 
 func main() {
 	// One frame from each of four applications, quarter scale.
-	var traces [][]stream.Access
+	var traces []*stream.Trace
 	for _, ab := range []string{"AssnCreed", "Civilization", "Dirt", "Unigine"} {
 		p, _ := workload.ProfileByAbbrev(ab)
-		traces = append(traces, trace.GenerateFrame(workload.FrameJob{App: p, Index: 0}, 0.25))
+		traces = append(traces, trace.GeneratePacked(workload.FrameJob{App: p, Index: 0}, 0.25))
 	}
 
 	fmt.Printf("%-8s %10s %10s %10s %10s\n", "LLC", "DRRIP", "GSPC", "Belady", "GSPC/DRRIP")
@@ -32,18 +33,17 @@ func main() {
 		for _, tr := range traces {
 			mD += run(tr, policy.NewDRRIP(2), geom)
 			mG += run(tr, core.New(core.DefaultParams(core.VariantGSPC)), geom)
-			mO += run(tr, belady.NewOPT(belady.NextUse(tr, 6)), geom)
+			mO += run(tr, belady.NewOPT(belady.NextUseTrace(tr, 6)), geom)
 		}
 		fmt.Printf("%5dKB %10d %10d %10d %9.3f\n", kb, mD, mG, mO, float64(mG)/float64(mD))
 	}
 	fmt.Println("\n(miss counts summed over 4 frames; the GSPC/DRRIP ratio is the paper's Figure 12 metric)")
 }
 
-func run(tr []stream.Access, pol cachesim.Policy, geom cachesim.Geometry) int64 {
+func run(tr *stream.Trace, pol cachesim.Policy, geom cachesim.Geometry) int64 {
 	c := cachesim.New(geom, pol)
 	c.SetBypass(stream.Display, true)
-	for _, a := range tr {
-		c.Access(a)
-	}
+	// context.Background never cancels, so the replay always completes.
+	_ = cachesim.ReplaySource(context.Background(), c, tr, 0)
 	return c.Stats.Misses
 }

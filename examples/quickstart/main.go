@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"gspc/internal/cachesim"
@@ -20,8 +21,8 @@ func main() {
 	// Pick one frame of Civilization V from the 52-frame suite and
 	// synthesize its LLC access trace at quarter scale.
 	job := workload.FrameJob{App: mustProfile("Civilization"), Index: 0}
-	tr := trace.GenerateFrame(job, 0.25)
-	fmt.Printf("frame %s: %d LLC accesses\n\n", job.ID(), len(tr))
+	tr := trace.GeneratePacked(job, 0.25)
+	fmt.Printf("frame %s: %d LLC accesses\n\n", job.ID(), tr.Len())
 
 	// The 8 MB 16-way LLC of the paper, scaled to match the frame.
 	geom := cachesim.Geometry{SizeBytes: 768 << 10, Ways: 16, BlockSize: 64}
@@ -33,9 +34,9 @@ func main() {
 			// stream bypasses the LLC.
 			c.SetBypass(stream.Display, true)
 		}
-		for _, a := range tr {
-			c.Access(a)
-		}
+		// context.Background never cancels, so the replay always
+		// completes.
+		_ = cachesim.ReplaySource(context.Background(), c, tr, 0)
 		fmt.Printf("%-12s misses=%7d  hit rate=%5.1f%%\n", name, c.Stats.Misses, 100*c.Stats.HitRate())
 		return c.Stats.Misses
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"gspc/internal/analysis"
@@ -18,7 +19,6 @@ import (
 	"gspc/internal/policy"
 	"gspc/internal/rendercache"
 	"gspc/internal/stream"
-	"gspc/internal/trace"
 )
 
 // buildFrame constructs a frame by hand: pass 1 renders a reflection map,
@@ -92,28 +92,23 @@ func main() {
 	}
 
 	// Trace the frame through the render cache complex.
-	col := &trace.Collector{}
-	rc := rendercache.New(rendercache.DefaultConfig().Scaled(0.25), col)
+	tr := stream.NewTrace(0)
+	rc := rendercache.New(rendercache.DefaultConfig().Scaled(0.25), tr)
 	pipeline.NewRenderer(rc).RenderFrame(f)
-	tr := col.Accesses
-	for i := range tr {
-		tr[i].Seq = int64(i)
-	}
-	fmt.Printf("custom frame: %d LLC accesses\n\n", len(tr))
+	fmt.Printf("custom frame: %d LLC accesses\n\n", tr.Len())
 
 	geom := cachesim.Geometry{SizeBytes: 512 << 10, Ways: 16, BlockSize: 64}
 	show := func(name string, pol cachesim.Policy) {
 		c := cachesim.New(geom, pol)
 		tk := analysis.Attach(c)
-		for _, a := range tr {
-			c.Access(a)
-		}
+		// context.Background never cancels, so the replay always
+		// completes.
+		_ = cachesim.ReplaySource(context.Background(), c, tr, 0)
 		fmt.Printf("%-8s misses=%6d  RT produced=%5d consumed=%5d (%4.1f%%)  tex hits inter/intra=%d/%d\n",
 			name, c.Stats.Misses, tk.RTProduced, tk.RTConsumed, 100*tk.RTConsumptionRate(),
 			tk.InterTexHits, tk.IntraTexHits)
 	}
 	show("DRRIP", policy.NewDRRIP(2))
 	show("GSPC", core.New(core.DefaultParams(core.VariantGSPC)))
-	show("Belady", belady.NewOPT(belady.NextUse(tr, 6)))
-	_ = stream.NumKinds
+	show("Belady", belady.NewOPT(belady.NextUseTrace(tr, 6)))
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"gspc/internal/cachesim"
@@ -17,7 +18,7 @@ import (
 
 func main() {
 	p, _ := workload.ProfileByAbbrev("Dirt")
-	tr := trace.GenerateFrame(workload.FrameJob{App: p, Index: 0}, 0.25)
+	tr := trace.GeneratePacked(workload.FrameJob{App: p, Index: 0}, 0.25)
 	geom := cachesim.Geometry{SizeBytes: 768 << 10, Ways: 16, BlockSize: 64}
 
 	fmt.Println("GSPZTC threshold sweep (Figure 11 style):")
@@ -46,12 +47,11 @@ func main() {
 	}
 }
 
-func run(tr []stream.Access, pol cachesim.Policy, geom cachesim.Geometry) int64 {
+func run(tr *stream.Trace, pol cachesim.Policy, geom cachesim.Geometry) int64 {
 	c := cachesim.New(geom, pol)
 	c.SetBypass(stream.Display, true)
-	for _, a := range tr {
-		c.Access(a)
-	}
+	// context.Background never cancels, so the replay always completes.
+	_ = cachesim.ReplaySource(context.Background(), c, tr, 0)
 	return c.Stats.Misses
 }
 

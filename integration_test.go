@@ -5,6 +5,7 @@ package gspc_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"gspc/internal/analysis"
@@ -21,10 +22,18 @@ import (
 
 const itScale = 0.12
 
-func itTrace(t testing.TB, jobIdx int) []stream.Access {
+func itTrace(t testing.TB, jobIdx int) *stream.Trace {
 	t.Helper()
 	jobs := workload.Suite()
-	return trace.GenerateFrame(jobs[jobIdx], itScale)
+	return trace.GeneratePacked(jobs[jobIdx], itScale)
+}
+
+// replay plays tr through c with the harness's replay loop.
+func replay(t testing.TB, c *cachesim.Cache, tr *stream.Trace) {
+	t.Helper()
+	if err := cachesim.ReplaySource(context.Background(), c, tr, 0); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func itGeom() cachesim.Geometry {
@@ -37,12 +46,10 @@ func TestEndToEndDeterminism(t *testing.T) {
 	run := func() (int64, int64) {
 		tr := itTrace(t, 20)
 		c := cachesim.New(itGeom(), core.New(core.DefaultParams(core.VariantGSPC)))
-		for _, a := range tr {
-			c.Access(a)
-		}
+		replay(t, c, tr)
 		cfg := gpu.DefaultConfig(itGeom())
 		cfg.Cores = 8
-		r := gpu.SimulateSource(stream.Pack(tr), cfg, policy.NewDRRIP(2))
+		r := gpu.SimulateSource(tr, cfg, policy.NewDRRIP(2))
 		return c.Stats.Misses, r.Cycles
 	}
 	m1, cy1 := run()
@@ -57,10 +64,8 @@ func TestEndToEndDeterminism(t *testing.T) {
 func TestBeladyLowerBoundsOnRealTrace(t *testing.T) {
 	tr := itTrace(t, 2)
 	geom := itGeom()
-	opt := cachesim.New(geom, belady.NewOPT(belady.NextUse(tr, 6)))
-	for _, a := range tr {
-		opt.Access(a)
-	}
+	opt := cachesim.New(geom, belady.NewOPT(belady.NextUseTrace(tr, 6)))
+	replay(t, opt, tr)
 	rivals := []cachesim.Policy{
 		policy.NewDRRIP(2), policy.NewNRU(), policy.NewLRU(), policy.NewSRRIP(2),
 		policy.NewGSDRRIP(2), policy.NewSHiPMem(4), policy.NewDIP(), policy.NewPeLIFO(),
@@ -71,9 +76,7 @@ func TestBeladyLowerBoundsOnRealTrace(t *testing.T) {
 	}
 	for _, r := range rivals {
 		c := cachesim.New(geom, r)
-		for _, a := range tr {
-			c.Access(a)
-		}
+		replay(t, c, tr)
 		if opt.Stats.Misses > c.Stats.Misses {
 			t.Errorf("Belady (%d misses) beaten by %s (%d misses)", opt.Stats.Misses, r.Name(), c.Stats.Misses)
 		}
@@ -85,15 +88,13 @@ func TestBeladyLowerBoundsOnRealTrace(t *testing.T) {
 func TestTimingAndOfflineAgreeOnVolume(t *testing.T) {
 	tr := itTrace(t, 30)
 	cfg := gpu.DefaultConfig(itGeom())
-	r := gpu.SimulateSource(stream.Pack(tr), cfg, policy.NewDRRIP(2))
-	if r.LLC.Accesses != int64(len(tr)) {
-		t.Errorf("timing model LLC saw %d accesses, trace has %d", r.LLC.Accesses, len(tr))
+	r := gpu.SimulateSource(tr, cfg, policy.NewDRRIP(2))
+	if r.LLC.Accesses != int64(tr.Len()) {
+		t.Errorf("timing model LLC saw %d accesses, trace has %d", r.LLC.Accesses, tr.Len())
 	}
 	// The interleaved order changes misses only moderately.
 	off := cachesim.New(itGeom(), policy.NewDRRIP(2))
-	for _, a := range tr {
-		off.Access(a)
-	}
+	replay(t, off, tr)
 	lo, hi := off.Stats.Misses*7/10, off.Stats.Misses*13/10
 	if r.LLC.Misses < lo || r.LLC.Misses > hi {
 		t.Errorf("timing-model misses %d far from offline %d", r.LLC.Misses, off.Stats.Misses)
@@ -106,7 +107,7 @@ func TestTimingAndOfflineAgreeOnVolume(t *testing.T) {
 func TestDRAMTrafficMatchesMissesAndWritebacks(t *testing.T) {
 	tr := itTrace(t, 40)
 	cfg := gpu.DefaultConfig(itGeom())
-	r := gpu.SimulateSource(stream.Pack(tr), cfg, policy.NewDRRIP(2))
+	r := gpu.SimulateSource(tr, cfg, policy.NewDRRIP(2))
 	fills := r.LLC.Misses - r.LLC.Bypasses
 	if r.DRAM.Reads > r.LLC.Misses {
 		t.Errorf("DRAM reads %d exceed LLC misses %d", r.DRAM.Reads, r.LLC.Misses)
@@ -124,9 +125,7 @@ func TestUCDNeverAddsDisplayHits(t *testing.T) {
 	tr := itTrace(t, 10)
 	c := cachesim.New(itGeom(), core.New(core.DefaultParams(core.VariantGSPC)))
 	c.SetBypass(stream.Display, true)
-	for _, a := range tr {
-		c.Access(a)
-	}
+	replay(t, c, tr)
 	if c.Stats.KindHits[stream.Display] != 0 {
 		t.Errorf("bypassed display stream recorded %d hits", c.Stats.KindHits[stream.Display])
 	}
@@ -137,20 +136,16 @@ func TestUCDNeverAddsDisplayHits(t *testing.T) {
 // render-to-texture heavy frame — the paper's central mechanism.
 func TestConsumptionAmplification(t *testing.T) {
 	p, _ := workload.ProfileByAbbrev("Civilization")
-	tr := trace.GenerateFrame(workload.FrameJob{App: p, Index: 0}, 0.2)
+	tr := trace.GeneratePacked(workload.FrameJob{App: p, Index: 0}, 0.2)
 	geom := cachesim.Geometry{SizeBytes: 512 << 10, Ways: 16, BlockSize: 64}
 
 	cd := cachesim.New(geom, policy.NewDRRIP(2))
 	td := analysis.Attach(cd)
-	for _, a := range tr {
-		cd.Access(a)
-	}
+	replay(t, cd, tr)
 	cg := cachesim.New(geom, core.New(core.DefaultParams(core.VariantGSPC)))
 	cg.SetBypass(stream.Display, true)
 	tg := analysis.Attach(cg)
-	for _, a := range tr {
-		cg.Access(a)
-	}
+	replay(t, cg, tr)
 	if tg.RTConsumptionRate() < td.RTConsumptionRate()*1.2 {
 		t.Errorf("GSPC consumption %.1f%% does not amplify DRRIP's %.1f%%",
 			100*tg.RTConsumptionRate(), 100*td.RTConsumptionRate())

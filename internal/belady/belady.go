@@ -1,7 +1,7 @@
 // Package belady implements Belady's optimal replacement policy (MIN) for
 // offline trace analysis, as used throughout Section 2 of the paper to
 // bound the achievable LLC hit rates. The policy requires the full access
-// trace up front: NextUse precomputes, for every trace position, the
+// trace up front: NextUseTrace precomputes, for every trace position, the
 // position of the next access to the same cache block, and OPT victimizes
 // the resident block whose next use lies farthest in the future.
 package belady
@@ -17,27 +17,11 @@ import (
 // Never marks a block that is not referenced again in the trace.
 const Never = int64(math.MaxInt64)
 
-// NextUse computes the forward reuse chain of a trace: out[i] is the trace
-// position of the next access to the same block as trace[i], or Never.
-// Blocks are formed by shifting addresses right by blockShift bits.
-func NextUse(trace []stream.Access, blockShift uint) []int64 {
-	out := make([]int64, len(trace))
-	last := make(map[uint64]int64, len(trace)/4+1)
-	for i := len(trace) - 1; i >= 0; i-- {
-		bn := trace[i].Addr >> blockShift
-		if j, ok := last[bn]; ok {
-			out[i] = j
-		} else {
-			out[i] = Never
-		}
-		last[bn] = int64(i)
-	}
-	return out
-}
-
-// NextUseTrace is NextUse over a packed trace, reading only the address
-// column — no access materialization, no Seq dependence (positions are
-// the sequence numbers by construction).
+// NextUseTrace computes the forward reuse chain of a packed trace:
+// out[i] is the position of the next access to the same block as record
+// i, or Never. Blocks are formed by shifting addresses right by
+// blockShift bits. Only the address column is read; positions are the
+// sequence numbers by construction.
 func NextUseTrace(t *stream.Trace, blockShift uint) []int64 {
 	n := t.Len()
 	out := make([]int64, n)
@@ -55,8 +39,9 @@ func NextUseTrace(t *stream.Trace, blockShift uint) []int64 {
 }
 
 // OPT is Belady's optimal policy. Each access presented to the cache must
-// carry its trace position in Access.Seq, and the policy must have been
-// constructed from the NextUse chain of the exact trace being replayed.
+// carry its trace position in Access.Seq, as cachesim.ReplaySource sets
+// it, and the policy must have been constructed from the NextUseTrace
+// chain of the exact trace being replayed.
 //
 // When Bypass is true (the default used in the paper reproduction), an
 // incoming block whose next use is farther than every resident block's is
@@ -72,7 +57,7 @@ type OPT struct {
 var _ cachesim.Policy = (*OPT)(nil)
 
 // NewOPT returns an optimal policy for a trace whose forward reuse chain
-// is next (from NextUse).
+// is next (from NextUseTrace).
 func NewOPT(next []int64) *OPT {
 	return &OPT{nextUse: next, Bypass: true}
 }

@@ -1,6 +1,7 @@
 package belady
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -9,17 +10,26 @@ import (
 	"gspc/internal/stream"
 )
 
-func mkTrace(blocks []int) []stream.Access {
-	tr := make([]stream.Access, len(blocks))
-	for i, b := range blocks {
-		tr[i] = stream.Access{Addr: uint64(b) * 64, Seq: int64(i)}
+// mkTrace packs one access at address b·stride for each b in blocks.
+func mkTrace(stride uint64, blocks ...uint64) *stream.Trace {
+	tr := stream.NewTrace(len(blocks))
+	for _, b := range blocks {
+		tr.Append(stream.Access{Addr: b * stride})
 	}
 	return tr
 }
 
+// blocksOf widens testing/quick's block numbers for mkTrace.
+func blocksOf(blocks []uint8, mod uint64) []uint64 {
+	out := make([]uint64, len(blocks))
+	for i, b := range blocks {
+		out[i] = uint64(b) % mod
+	}
+	return out
+}
+
 func TestNextUseSimple(t *testing.T) {
-	tr := mkTrace([]int{1, 2, 1, 3, 2, 1})
-	next := NextUse(tr, 6)
+	next := NextUseTrace(mkTrace(64, 1, 2, 1, 3, 2, 1), 6)
 	want := []int64{2, 4, 5, Never, Never, Never}
 	for i := range want {
 		if next[i] != want[i] {
@@ -29,25 +39,25 @@ func TestNextUseSimple(t *testing.T) {
 }
 
 func TestNextUseSameBlockDifferentOffsets(t *testing.T) {
-	tr := []stream.Access{
-		{Addr: 0, Seq: 0},
-		{Addr: 63, Seq: 1}, // same block
-		{Addr: 64, Seq: 2}, // next block
-		{Addr: 32, Seq: 3}, // block 0 again
-	}
-	next := NextUse(tr, 6)
+	tr := stream.Pack([]stream.Access{
+		{Addr: 0},
+		{Addr: 63}, // same block
+		{Addr: 64}, // next block
+		{Addr: 32}, // block 0 again
+	})
+	next := NextUseTrace(tr, 6)
 	if next[0] != 1 || next[1] != 3 || next[2] != Never || next[3] != Never {
 		t.Errorf("next = %v", next)
 	}
 }
 
 // brute-force next-use for the property test.
-func bruteNextUse(tr []stream.Access, shift uint) []int64 {
-	out := make([]int64, len(tr))
-	for i := range tr {
+func bruteNextUse(tr *stream.Trace, shift uint) []int64 {
+	out := make([]int64, tr.Len())
+	for i := range out {
 		out[i] = Never
-		for j := i + 1; j < len(tr); j++ {
-			if tr[i].Addr>>shift == tr[j].Addr>>shift {
+		for j := i + 1; j < tr.Len(); j++ {
+			if tr.Addr(i)>>shift == tr.Addr(j)>>shift {
 				out[i] = int64(j)
 				break
 			}
@@ -58,11 +68,8 @@ func bruteNextUse(tr []stream.Access, shift uint) []int64 {
 
 func TestNextUseProperty(t *testing.T) {
 	f := func(blocks []uint8) bool {
-		tr := make([]stream.Access, len(blocks))
-		for i, b := range blocks {
-			tr[i] = stream.Access{Addr: uint64(b) * 8, Seq: int64(i)}
-		}
-		got := NextUse(tr, 6)
+		tr := mkTrace(8, blocksOf(blocks, 256)...)
+		got := NextUseTrace(tr, 6)
 		want := bruteNextUse(tr, 6)
 		for i := range got {
 			if got[i] != want[i] {
@@ -76,10 +83,11 @@ func TestNextUseProperty(t *testing.T) {
 	}
 }
 
-func runTrace(tr []stream.Access, p cachesim.Policy, ways int) int64 {
+func runTrace(t *testing.T, tr *stream.Trace, p cachesim.Policy, ways int) int64 {
+	t.Helper()
 	c := cachesim.New(cachesim.Geometry{SizeBytes: 64 * ways, Ways: ways, BlockSize: 64}, p)
-	for _, a := range tr {
-		c.Access(a)
+	if err := cachesim.ReplaySource(context.Background(), c, tr, 0); err != nil {
+		t.Fatal(err)
 	}
 	return c.Stats.Misses
 }
@@ -88,18 +96,18 @@ func TestOPTKnownSequence(t *testing.T) {
 	// 2-way cache, blocks: 1 2 3 1 2. OPT: on filling 3, evict 2 if 1 is
 	// nearer... next uses: 1->3, 2->4, 3->never. Filling 3 with bypass
 	// enabled: 3 is never reused, so OPT bypasses it entirely.
-	tr := mkTrace([]int{1, 2, 3, 1, 2})
-	misses := runTrace(tr, NewOPT(NextUse(tr, 6)), 2)
+	tr := mkTrace(64, 1, 2, 3, 1, 2)
+	misses := runTrace(t, tr, NewOPT(NextUseTrace(tr, 6)), 2)
 	if misses != 3 {
 		t.Errorf("OPT misses = %d, want 3 (fills 1,2; bypasses 3; hits 1,2)", misses)
 	}
 }
 
 func TestOPTForcedFill(t *testing.T) {
-	tr := mkTrace([]int{1, 2, 3, 1, 2})
-	p := NewOPT(NextUse(tr, 6))
+	tr := mkTrace(64, 1, 2, 3, 1, 2)
+	p := NewOPT(NextUseTrace(tr, 6))
 	p.Bypass = false
-	misses := runTrace(tr, p, 2)
+	misses := runTrace(t, tr, p, 2)
 	// Forced fill must evict one of {1,2} for 3; evicting the farther (2)
 	// preserves the hit on 1: misses = 1,2,3,2 = 4.
 	if misses != 4 {
@@ -110,17 +118,17 @@ func TestOPTForcedFill(t *testing.T) {
 func TestOPTBeatsLRUOnLoop(t *testing.T) {
 	// Cyclic access to ways+1 blocks is LRU's worst case; OPT keeps all
 	// but one resident.
-	var blocks []int
+	var blocks []uint64
 	for rep := 0; rep < 10; rep++ {
-		for b := 0; b < 5; b++ {
+		for b := uint64(0); b < 5; b++ {
 			blocks = append(blocks, b)
 		}
 	}
-	tr := mkTrace(blocks)
-	lru := runTrace(tr, policy.NewLRU(), 4)
-	opt := runTrace(tr, NewOPT(NextUse(tr, 6)), 4)
-	if lru != int64(len(tr)) {
-		t.Errorf("LRU on a 5-block loop in 4 ways should always miss, got %d/%d", lru, len(tr))
+	tr := mkTrace(64, blocks...)
+	lru := runTrace(t, tr, policy.NewLRU(), 4)
+	opt := runTrace(t, tr, NewOPT(NextUseTrace(tr, 6)), 4)
+	if lru != int64(tr.Len()) {
+		t.Errorf("LRU on a 5-block loop in 4 ways should always miss, got %d/%d", lru, tr.Len())
 	}
 	if opt >= lru/2 {
 		t.Errorf("OPT (%d) should dramatically beat LRU (%d)", opt, lru)
@@ -140,13 +148,10 @@ func TestOPTOptimalityProperty(t *testing.T) {
 		if len(blocks) == 0 {
 			return true
 		}
-		tr := make([]stream.Access, len(blocks))
-		for i, b := range blocks {
-			tr[i] = stream.Access{Addr: uint64(b%32) * 64, Seq: int64(i)}
-		}
-		opt := runTrace(tr, NewOPT(NextUse(tr, 6)), 4)
+		tr := mkTrace(64, blocksOf(blocks, 32)...)
+		opt := runTrace(t, tr, NewOPT(NextUseTrace(tr, 6)), 4)
 		for _, r := range rivals() {
-			if opt > runTrace(tr, r, 4) {
+			if opt > runTrace(t, tr, r, 4) {
 				return false
 			}
 		}
@@ -163,15 +168,12 @@ func TestOPTBypassNeverWorseProperty(t *testing.T) {
 		if len(blocks) == 0 {
 			return true
 		}
-		tr := make([]stream.Access, len(blocks))
-		for i, b := range blocks {
-			tr[i] = stream.Access{Addr: uint64(b%16) * 64, Seq: int64(i)}
-		}
-		next := NextUse(tr, 6)
-		withBypass := runTrace(tr, NewOPT(next), 4)
+		tr := mkTrace(64, blocksOf(blocks, 16)...)
+		next := NextUseTrace(tr, 6)
+		withBypass := runTrace(t, tr, NewOPT(next), 4)
 		forced := NewOPT(next)
 		forced.Bypass = false
-		return withBypass <= runTrace(tr, forced, 4)
+		return withBypass <= runTrace(t, tr, forced, 4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -179,8 +181,7 @@ func TestOPTBypassNeverWorseProperty(t *testing.T) {
 }
 
 func TestOPTPanicsOnUnpreparedSeq(t *testing.T) {
-	tr := mkTrace([]int{1, 2})
-	p := NewOPT(NextUse(tr, 6))
+	p := NewOPT(NextUseTrace(mkTrace(64, 1, 2), 6))
 	c := cachesim.New(cachesim.Geometry{SizeBytes: 128, Ways: 2, BlockSize: 64}, p)
 	defer func() {
 		if recover() == nil {

@@ -1,6 +1,7 @@
 package belady_test
 
 import (
+	"context"
 	"fmt"
 
 	"gspc/internal/belady"
@@ -9,19 +10,19 @@ import (
 )
 
 // Example replays a short trace under Belady's optimal policy. The trace
-// must be known in full up front: NextUse builds the forward reuse chain
-// and every access carries its trace position in Seq.
+// must be known in full up front: NextUseTrace builds the forward reuse
+// chain, and cachesim.ReplaySource hands OPT each access with its trace
+// position in Seq.
 func Example() {
-	blocks := []int{1, 2, 3, 1, 2, 4, 1, 2}
-	tr := make([]stream.Access, len(blocks))
-	for i, b := range blocks {
-		tr[i] = stream.Access{Addr: uint64(b) * 64, Seq: int64(i)}
+	tr := stream.NewTrace(8)
+	for _, b := range []uint64{1, 2, 3, 1, 2, 4, 1, 2} {
+		tr.Append(stream.Access{Addr: b * 64})
 	}
 
-	next := belady.NextUse(tr, 6)
+	next := belady.NextUseTrace(tr, 6)
 	c := cachesim.New(cachesim.Geometry{SizeBytes: 128, Ways: 2, BlockSize: 64}, belady.NewOPT(next))
-	for _, a := range tr {
-		c.Access(a)
+	if err := cachesim.ReplaySource(context.Background(), c, tr, 0); err != nil {
+		panic(err)
 	}
 
 	// OPT keeps blocks 1 and 2 resident and bypasses the never-reused

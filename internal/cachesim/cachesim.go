@@ -9,6 +9,9 @@ package cachesim
 
 import (
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 
 	"gspc/internal/stream"
 )
@@ -35,6 +38,9 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("cachesim: associativity %d must be positive", g.Ways)
 	case g.SizeBytes <= 0:
 		return fmt.Errorf("cachesim: size %d must be positive", g.SizeBytes)
+	case g.Ways > g.SizeBytes/g.BlockSize:
+		// Checked before the product below, which can overflow.
+		return fmt.Errorf("cachesim: size %d holds fewer than %d ways of %d-byte blocks", g.SizeBytes, g.Ways, g.BlockSize)
 	case g.SizeBytes%(g.Ways*g.BlockSize) != 0:
 		return fmt.Errorf("cachesim: size %d is not a multiple of ways*block (%d)", g.SizeBytes, g.Ways*g.BlockSize)
 	}
@@ -55,6 +61,27 @@ func formatSize(n int) string {
 	default:
 		return fmt.Sprintf("%dB", n)
 	}
+}
+
+// ParseSize parses a capacity the way Geometry.String prints one ("8MB",
+// "768KB", "96B") or as a bare byte count, ignoring case and surrounding
+// space. It inverts formatSize and rejects sizes that are not positive
+// or do not fit in an int.
+func ParseSize(s string) (int, error) {
+	num, mult := strings.ToUpper(strings.TrimSpace(s)), 1
+	switch {
+	case strings.HasSuffix(num, "MB"):
+		num, mult = num[:len(num)-2], 1<<20
+	case strings.HasSuffix(num, "KB"):
+		num, mult = num[:len(num)-2], 1<<10
+	case strings.HasSuffix(num, "B"):
+		num = num[:len(num)-1]
+	}
+	v, err := strconv.Atoi(num)
+	if err != nil || v <= 0 || v > math.MaxInt/mult {
+		return 0, fmt.Errorf("cachesim: bad size %q: want a positive size like 8MB, 768KB or 96B", s)
+	}
+	return v * mult, nil
 }
 
 // Policy is a replacement policy attached to a Cache. The cache owns tags,

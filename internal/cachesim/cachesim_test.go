@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -48,6 +49,7 @@ func TestGeometry(t *testing.T) {
 		{SizeBytes: 1 << 20, Ways: 0, BlockSize: 64},
 		{SizeBytes: 1 << 20, Ways: 16, BlockSize: 0},
 		{SizeBytes: 1000, Ways: 16, BlockSize: 64},
+		{SizeBytes: 1 << 20, Ways: 1 << 58, BlockSize: 64},
 	}
 	for _, g := range bad {
 		if err := g.Validate(); err == nil {
@@ -59,6 +61,31 @@ func TestGeometry(t *testing.T) {
 func TestGeometrySizeString(t *testing.T) {
 	if got := (Geometry{SizeBytes: 768 << 10, Ways: 16, BlockSize: 64}).String(); got != "768KB/16w/64B" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestParseSize holds ParseSize to inverting the size Geometry.String
+// prints, in bytes, kilobytes and megabytes, and to rejecting anything
+// that is not a positive size.
+func TestParseSize(t *testing.T) {
+	f := func(n uint16, unit uint8) bool {
+		size := (int(n)%4096 + 1) << (10 * (unit % 3))
+		printed, _, _ := strings.Cut(Geometry{SizeBytes: size, Ways: 1, BlockSize: 1}.String(), "/")
+		got, err := ParseSize(printed)
+		return err == nil && got == size
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	for in, want := range map[string]int{"768kb": 768 << 10, " 8MB ": 8 << 20, "4096": 4096} {
+		if got, err := ParseSize(in); err != nil || got != want {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"", "abc", "0KB", "-5KB", "KB", "9223372036854775807MB"} {
+		if got, err := ParseSize(in); err == nil {
+			t.Errorf("ParseSize(%q) = %d, want an error", in, got)
+		}
 	}
 }
 

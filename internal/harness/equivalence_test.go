@@ -7,6 +7,8 @@ import (
 	"gspc/internal/analysis"
 	"gspc/internal/belady"
 	"gspc/internal/cachesim"
+	"gspc/internal/pipeline"
+	"gspc/internal/rendercache"
 	"gspc/internal/stream"
 	"gspc/internal/trace"
 	"gspc/internal/workload"
@@ -14,23 +16,24 @@ import (
 
 // TestPackedReplayEquivalence proves the packed trace representation is
 // behavior-preserving: for one synthesized frame, cachesim.ReplaySource
-// over the packed trace produces, under every evaluated policy, exactly
-// the per-stream hit and miss counts of a plain c.Access loop over the
-// classic []stream.Access form. This is the seam the whole perf layer
-// rests on — if packing dropped or reordered a single record, or
+// over trace.GeneratePacked's trace produces, under every evaluated
+// policy, exactly the per-stream hit and miss counts of a plain c.Access
+// loop over a reference []stream.Access recorded straight from the
+// render-cache complex. The reference never passes through the packed
+// columns, so if packing dropped or reordered a single record, or
 // mispacked a kind/write bit, a policy would diverge here first.
 func TestPackedReplayEquivalence(t *testing.T) {
 	o := Options{Scale: 0.1}.normalized()
 	j := workload.Suite()[0]
-	slice := trace.GenerateFrame(j, o.Scale)
+	ref := emittedAccesses(t, j, o.Scale)
 	packed := trace.GeneratePacked(j, o.Scale)
 
-	if packed.Len() != len(slice) {
-		t.Fatalf("packed.Len() = %d, slice len = %d", packed.Len(), len(slice))
+	if packed.Len() != len(ref) {
+		t.Fatalf("packed.Len() = %d, reference len %d", packed.Len(), len(ref))
 	}
-	for i, a := range slice {
+	for i, a := range ref {
 		if got := packed.At(i); got != a {
-			t.Fatalf("record %d: packed %+v != slice %+v", i, got, a)
+			t.Fatalf("record %d: packed %+v != reference %+v", i, got, a)
 		}
 	}
 
@@ -40,7 +43,7 @@ func TestPackedReplayEquivalence(t *testing.T) {
 	for _, spec := range specs {
 		spec := spec
 		t.Run(spec.name, func(t *testing.T) {
-			a := sliceStats(geom, spec.make(), spec.ucd, slice)
+			a := sliceStats(geom, spec.make(), spec.ucd, ref)
 			c, tk := trackedCache(geom, spec.make(), spec.ucd)
 			if err := cachesim.ReplaySource(ctx, c, packed, 0); err != nil {
 				t.Fatal(err)
@@ -49,17 +52,37 @@ func TestPackedReplayEquivalence(t *testing.T) {
 		})
 	}
 
-	// Belady consumes the trace twice (next-use preprocessing + replay),
-	// so it exercises both NextUse paths.
+	// Belady's lookahead keys on Seq: the reference carries its positions
+	// explicitly, the packed replay takes them from ReplaySource. The
+	// record check above makes the two traces' next-use chains equal.
 	t.Run("Belady", func(t *testing.T) {
-		next := belady.NextUse(slice, blockShift(geom.BlockSize))
-		a := sliceStats(geom, belady.NewOPT(next), false, slice)
+		next := belady.NextUseTrace(packed, blockShift(geom.BlockSize))
+		a := sliceStats(geom, belady.NewOPT(next), false, ref)
 		b, err := runOffline(ctx, packed, specBelady(), geom, nil, withTracker)
 		if err != nil {
 			t.Fatal(err)
 		}
 		compareReplays(t, a, b)
 	})
+}
+
+// emittedAccesses renders job's frame at scale through a fresh
+// render-cache complex configured as trace.GeneratePacked configures it,
+// and records every LLC access the complex emits, with Seq set to its
+// position.
+func emittedAccesses(t *testing.T, job workload.FrameJob, scale float64) []stream.Access {
+	t.Helper()
+	frame := job.Build(scale)
+	if err := frame.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var accs []stream.Access
+	rc := rendercache.New(rendercache.DefaultConfig().Scaled(scale), stream.SinkFunc(func(a stream.Access) {
+		a.Seq = int64(len(accs))
+		accs = append(accs, a)
+	}))
+	pipeline.NewRenderer(rc).RenderFrame(frame)
+	return accs
 }
 
 // trackedCache builds a cache the way runOffline does, with a tracker
@@ -72,8 +95,8 @@ func trackedCache(geom cachesim.Geometry, pol cachesim.Policy, ucd bool) (*cache
 	return c, analysis.Attach(c)
 }
 
-// sliceStats is the classic replay: a plain Access loop over the
-// []stream.Access form of the trace.
+// sliceStats is the reference replay: a plain Access loop over a
+// []stream.Access trace.
 func sliceStats(geom cachesim.Geometry, pol cachesim.Policy, ucd bool, tr []stream.Access) frameResult {
 	c, tk := trackedCache(geom, pol, ucd)
 	for _, a := range tr {
@@ -83,16 +106,16 @@ func sliceStats(geom cachesim.Geometry, pol cachesim.Policy, ucd bool, tr []stre
 }
 
 // compareReplays demands identical counters and per-stream tracker
-// tallies from the slice replay a and the packed replay b.
+// tallies from the reference replay a and the packed replay b.
 func compareReplays(t *testing.T, a, b frameResult) {
 	t.Helper()
 	if a.stats != b.stats {
-		t.Errorf("stats diverge: slice %+v, packed %+v", a.stats, b.stats)
+		t.Errorf("stats diverge: reference %+v, packed %+v", a.stats, b.stats)
 	}
 	for _, k := range stream.Kinds() {
 		if a.tracker.KindHits(k) != b.tracker.KindHits(k) ||
 			a.tracker.KindAccesses(k) != b.tracker.KindAccesses(k) {
-			t.Errorf("%s: slice %d/%d hits/accesses, packed %d/%d", k,
+			t.Errorf("%s: reference %d/%d hits/accesses, packed %d/%d", k,
 				a.tracker.KindHits(k), a.tracker.KindAccesses(k),
 				b.tracker.KindHits(k), b.tracker.KindAccesses(k))
 		}
@@ -140,23 +163,6 @@ func TestTrackerNeverChangesResults(t *testing.T) {
 			if plain.stats.Accesses == 0 {
 				t.Errorf("%s/%s: replay measured no accesses", mode, spec.name)
 			}
-		}
-	}
-}
-
-// TestTraceRoundTrip checks Pack/Materialize and the packed disk format
-// against the slice-based container format byte-for-byte.
-func TestTraceRoundTrip(t *testing.T) {
-	o := Options{Scale: 0.05}.normalized()
-	slice := trace.GenerateFrame(workload.Suite()[1], o.Scale)
-	packed := stream.Pack(slice)
-	back := packed.Materialize()
-	if len(back) != len(slice) {
-		t.Fatalf("materialized %d records, want %d", len(back), len(slice))
-	}
-	for i := range slice {
-		if back[i] != slice[i] {
-			t.Fatalf("record %d: %+v != %+v", i, back[i], slice[i])
 		}
 	}
 }

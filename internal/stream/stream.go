@@ -86,7 +86,7 @@ func (a Access) String() string {
 
 // Sink consumes a stream of accesses. The rendering pipeline emits raw
 // accesses into a render-cache complex, whose miss stream feeds an LLC
-// model or a trace collector; all of those are Sinks.
+// model or a packed Trace; all of those are Sinks.
 type Sink interface {
 	Emit(a Access)
 }
@@ -96,15 +96,6 @@ type SinkFunc func(a Access)
 
 // Emit calls f(a).
 func (f SinkFunc) Emit(a Access) { f(a) }
-
-// Tee returns a Sink that forwards every access to each of sinks in order.
-func Tee(sinks ...Sink) Sink {
-	return SinkFunc(func(a Access) {
-		for _, s := range sinks {
-			s.Emit(a)
-		}
-	})
-}
 
 // Counter is a Sink that counts accesses per stream kind.
 type Counter struct {

@@ -70,25 +70,6 @@ func TestSinkFunc(t *testing.T) {
 	}
 }
 
-func TestTeeForwardsInOrder(t *testing.T) {
-	var a, b []uint64
-	tee := Tee(
-		SinkFunc(func(ac Access) { a = append(a, ac.Addr) }),
-		SinkFunc(func(ac Access) { b = append(b, ac.Addr) }),
-	)
-	for i := uint64(0); i < 10; i++ {
-		tee.Emit(Access{Addr: i})
-	}
-	if len(a) != 10 || len(b) != 10 {
-		t.Fatalf("tee delivered %d/%d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != uint64(i) || b[i] != uint64(i) {
-			t.Fatalf("tee order broken at %d: %d %d", i, a[i], b[i])
-		}
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Emit(Access{Kind: Z})
@@ -112,6 +93,52 @@ func TestCounterTotalProperty(t *testing.T) {
 			sum += v
 		}
 		return sum == c.Total && c.Total == int64(len(kinds))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTracePackProperty holds the packed representation lossless for
+// arbitrary accesses — full 64-bit addresses, every kind, both write
+// flags — through every accessor, and checks that a buffer refilled
+// after Reset and Grow holds exactly the new records and keeps its
+// capacity.
+func TestTracePackProperty(t *testing.T) {
+	holds := func(tr *Trace, accs []Access) bool {
+		addrs, meta := tr.Records()
+		if tr.Len() != len(accs) || len(addrs) != len(accs) || len(meta) != len(accs) {
+			return false
+		}
+		for i, a := range accs {
+			k, w := UnpackMeta(meta[i])
+			want := Access{Addr: a.Addr, Seq: int64(i), Kind: a.Kind, Write: a.Write}
+			if tr.At(i) != want || tr.Addr(i) != a.Addr || tr.KindAt(i) != a.Kind || tr.WriteAt(i) != a.Write ||
+				addrs[i] != a.Addr || meta[i] != PackMeta(a.Kind, a.Write) || k != a.Kind || w != a.Write {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(accs, refill []Access) bool {
+		for _, s := range [][]Access{accs, refill} {
+			for i := range s {
+				s[i].Kind %= NumKinds
+			}
+		}
+		tr := Pack(accs)
+		if !holds(tr, accs) {
+			return false
+		}
+		before := tr.Bytes()
+		tr.Reset()
+		tr.Grow(len(refill))
+		grown := tr.Bytes()
+		for _, a := range refill {
+			tr.Append(a)
+		}
+		kept := grown == before || len(refill) > len(accs)
+		return holds(tr, refill) && kept && tr.Bytes() == grown
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

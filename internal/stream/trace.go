@@ -130,13 +130,3 @@ func (t *Trace) Bytes() int64 {
 func (t *Trace) Records() (addrs []uint64, meta []uint8) {
 	return t.addrs, t.meta
 }
-
-// Materialize converts the packed trace back to a []Access with Seq
-// assigned in order, for consumers that still need the slice form.
-func (t *Trace) Materialize() []Access {
-	out := make([]Access, t.Len())
-	for i := range out {
-		out[i] = t.At(i)
-	}
-	return out
-}

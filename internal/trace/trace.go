@@ -19,19 +19,9 @@ import (
 	"gspc/internal/workload"
 )
 
-// Collector is a stream.Sink that records every access in order.
-type Collector struct {
-	Accesses []stream.Access
-}
-
-// Emit implements stream.Sink.
-func (c *Collector) Emit(a stream.Access) {
-	c.Accesses = append(c.Accesses, a)
-}
-
 // sizeHints remembers the most recent trace length per (frame, scale),
 // so repeat synthesis of a frame — benchmarks, sweeps with the trace
-// cache disabled or evicting — pre-sizes its collector instead of paying
+// cache disabled or evicting — pre-sizes its trace instead of paying
 // a dozen append regrowths of a multi-megabyte buffer. The hint only
 // shapes allocation, never content. A long-lived server synthesizes at
 // any scale a request names, so the map holds at most maxSizeHints
@@ -89,43 +79,17 @@ func recordSize(job workload.FrameJob, scale float64, n int) {
 	sizeHints.m[k] = n
 }
 
-// GenerateFrame renders one suite frame at the given linear scale through
-// a render cache complex (scaled to match) and returns the resulting LLC
-// access trace. Seq fields are assigned in trace order so the trace is
-// directly consumable by Belady preprocessing.
+// GeneratePacked renders one suite frame at the given linear scale
+// through a render cache complex (scaled to match) and returns the
+// resulting LLC access trace, packed at 9 bytes per record with Seq
+// implicit in position. This is the synthesis path behind the shared
+// frame-trace cache.
 //
 // The render caches are scaled by the linear factor, not by area: their
 // working sets are dominated by rows of surface tiles (line buffers),
 // whose footprint grows with resolution, not with pixel count. Scaling
 // them linearly keeps the filtered LLC stream mix representative of the
 // full-resolution configuration.
-func GenerateFrame(job workload.FrameJob, scale float64) []stream.Access {
-	return GenerateFrameWithCaches(job, scale, rendercache.DefaultConfig().Scaled(scale))
-}
-
-// GenerateFrameWithCaches is GenerateFrame with an explicit render cache
-// configuration (used by ablation benches that vary the front caches).
-func GenerateFrameWithCaches(job workload.FrameJob, scale float64, cfg rendercache.Config) []stream.Access {
-	col := &Collector{Accesses: make([]stream.Access, 0, EstimateAccesses(job, scale))}
-	rc := rendercache.New(cfg, col)
-	frame := job.Build(scale)
-	if err := frame.Validate(); err != nil {
-		panic(fmt.Sprintf("trace: invalid frame %s: %v", job.ID(), err))
-	}
-	r := pipeline.NewRenderer(rc)
-	r.RenderFrame(frame)
-	for i := range col.Accesses {
-		col.Accesses[i].Seq = int64(i)
-	}
-	recordSize(job, scale, len(col.Accesses))
-	return col.Accesses
-}
-
-// GeneratePacked renders one suite frame directly into a packed
-// stream.Trace: the render-cache miss stream is collected at 9 bytes per
-// record with Seq implicit in position, skipping the []stream.Access
-// intermediate entirely. This is the synthesis path behind the shared
-// frame-trace cache.
 func GeneratePacked(job workload.FrameJob, scale float64) *stream.Trace {
 	t := stream.NewTrace(EstimateAccesses(job, scale))
 	GeneratePackedInto(t, job, scale, rendercache.DefaultConfig().Scaled(scale))
@@ -214,80 +178,6 @@ var magic = [8]byte{'G', 'S', 'P', 'C', 'T', 'R', 'C', '1'}
 // ErrBadMagic reports a container that is not a GSPC trace.
 var ErrBadMagic = errors.New("trace: bad magic")
 
-// Write stores a trace in the binary container format.
-func Write(w io.Writer, accs []stream.Access) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(accs)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var rec [9]byte
-	for _, a := range accs {
-		binary.LittleEndian.PutUint64(rec[:8], a.Addr)
-		m := uint8(a.Kind) & 0x7f
-		if a.Write {
-			m |= 0x80
-		}
-		rec[8] = m
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read loads a trace from the binary container format, assigning Seq in
-// order.
-func Read(r io.Reader) ([]stream.Access, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, err
-	}
-	if m != magic {
-		return nil, ErrBadMagic
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	count := binary.LittleEndian.Uint64(hdr[:])
-	const maxReasonable = 1 << 32
-	if count > maxReasonable {
-		return nil, fmt.Errorf("trace: implausible record count %d", count)
-	}
-	// Pre-size conservatively: the count comes from an untrusted header,
-	// so cap the up-front allocation and let append grow the rest as
-	// records actually arrive (a truncated file then fails fast instead
-	// of allocating gigabytes).
-	capHint := int(count)
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	accs := make([]stream.Access, 0, capHint)
-	var rec [9]byte
-	for i := int64(0); i < int64(count); i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("trace: truncated at record %d: %w", i, err)
-		}
-		k := stream.Kind(rec[8] & 0x7f)
-		if !k.Valid() {
-			return nil, fmt.Errorf("trace: record %d has invalid kind %d", i, rec[8]&0x7f)
-		}
-		accs = append(accs, stream.Access{
-			Addr:  binary.LittleEndian.Uint64(rec[:8]),
-			Seq:   i,
-			Kind:  k,
-			Write: rec[8]&0x80 != 0,
-		})
-	}
-	return accs, nil
-}
-
 // WriteTrace stores a packed trace in the binary container format. The
 // on-disk record (addr uint64 + meta uint8) is exactly the packed
 // in-memory record, so no intermediate slice is built.
@@ -332,7 +222,10 @@ func ReadTrace(r io.Reader) (*stream.Trace, error) {
 	if count > maxReasonable {
 		return nil, fmt.Errorf("trace: implausible record count %d", count)
 	}
-	// Same untrusted-header rule as Read: cap the up-front allocation.
+	// Pre-size conservatively: the count comes from an untrusted header,
+	// so cap the up-front allocation and let Append grow the rest as
+	// records actually arrive (a truncated file then fails fast instead
+	// of allocating gigabytes).
 	capHint := int(count)
 	if capHint > 1<<20 {
 		capHint = 1 << 20

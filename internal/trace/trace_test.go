@@ -17,39 +17,37 @@ func TestRoundTrip(t *testing.T) {
 		{Addr: 0, Kind: stream.Display, Write: true},
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, in); err != nil {
+	if err := WriteTrace(&buf, stream.Pack(in)); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Read(&buf)
+	out, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("len = %d, want %d", len(out), len(in))
+	if out.Len() != len(in) {
+		t.Fatalf("len = %d, want %d", out.Len(), len(in))
 	}
-	for i := range in {
-		if out[i].Addr != in[i].Addr || out[i].Kind != in[i].Kind || out[i].Write != in[i].Write {
-			t.Errorf("record %d: %+v != %+v", i, out[i], in[i])
-		}
-		if out[i].Seq != int64(i) {
-			t.Errorf("record %d seq = %d", i, out[i].Seq)
+	for i, a := range in {
+		a.Seq = int64(i)
+		if got := out.At(i); got != a {
+			t.Errorf("record %d: %+v != %+v", i, got, a)
 		}
 	}
 }
 
 func TestRoundTripEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, nil); err != nil {
+	if err := WriteTrace(&buf, stream.NewTrace(0)); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Read(&buf)
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty roundtrip: %v, %d records", err, len(out))
+	out, err := ReadTrace(&buf)
+	if err != nil || out.Len() != 0 {
+		t.Fatalf("empty roundtrip: %v, %d records", err, out.Len())
 	}
 }
 
 func TestBadMagic(t *testing.T) {
-	_, err := Read(bytes.NewReader([]byte("NOTATRACE_______")))
+	_, err := ReadTrace(bytes.NewReader([]byte("NOTATRACE_______")))
 	if !errors.Is(err, ErrBadMagic) {
 		t.Errorf("err = %v, want ErrBadMagic", err)
 	}
@@ -57,11 +55,11 @@ func TestBadMagic(t *testing.T) {
 
 func TestTruncatedTrace(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, []stream.Access{{Addr: 1}, {Addr: 2}}); err != nil {
+	if err := WriteTrace(&buf, stream.Pack([]stream.Access{{Addr: 1}, {Addr: 2}})); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	_, err := Read(bytes.NewReader(raw[:len(raw)-3]))
+	_, err := ReadTrace(bytes.NewReader(raw[:len(raw)-3]))
 	if err == nil {
 		t.Error("truncated trace accepted")
 	}
@@ -69,12 +67,12 @@ func TestTruncatedTrace(t *testing.T) {
 
 func TestInvalidKindRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, []stream.Access{{Addr: 1, Kind: stream.Z}}); err != nil {
+	if err := WriteTrace(&buf, stream.Pack([]stream.Access{{Addr: 1, Kind: stream.Z}})); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	raw[len(raw)-1] = 0x5f // kind 31, invalid
-	_, err := Read(bytes.NewReader(raw))
+	_, err := ReadTrace(bytes.NewReader(raw))
 	if err == nil {
 		t.Error("invalid kind accepted")
 	}
@@ -91,15 +89,15 @@ func TestRoundTripProperty(t *testing.T) {
 			in[i].Write = i < len(writes) && writes[i]
 		}
 		var buf bytes.Buffer
-		if Write(&buf, in) != nil {
+		if WriteTrace(&buf, stream.Pack(in)) != nil {
 			return false
 		}
-		out, err := Read(&buf)
-		if err != nil || len(out) != len(in) {
+		out, err := ReadTrace(&buf)
+		if err != nil || out.Len() != len(in) {
 			return false
 		}
 		for i := range in {
-			if out[i].Addr != in[i].Addr || out[i].Kind != in[i].Kind || out[i].Write != in[i].Write {
+			if out.Addr(i) != in[i].Addr || out.KindAt(i) != in[i].Kind || out.WriteAt(i) != in[i].Write {
 				return false
 			}
 		}
@@ -112,40 +110,30 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestGenerateFrameDeterministic(t *testing.T) {
 	j := workload.Suite()[3]
-	a := GenerateFrame(j, 0.1)
-	b := GenerateFrame(j, 0.1)
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
+	a := GeneratePacked(j, 0.1)
+	b := GeneratePacked(j, 0.1)
+	if a.Len() != b.Len() {
+		t.Fatalf("trace lengths differ: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	aAddrs, aMeta := a.Records()
+	bAddrs, bMeta := b.Records()
+	for i := range aAddrs {
+		if aAddrs[i] != bAddrs[i] || aMeta[i] != bMeta[i] {
 			t.Fatalf("traces diverge at %d", i)
-		}
-	}
-}
-
-func TestGenerateFrameSeqAssigned(t *testing.T) {
-	j := workload.Suite()[0]
-	tr := GenerateFrame(j, 0.1)
-	if len(tr) == 0 {
-		t.Fatal("empty trace")
-	}
-	for i, a := range tr {
-		if a.Seq != int64(i) {
-			t.Fatalf("seq[%d] = %d", i, a.Seq)
-		}
-		if !a.Kind.Valid() {
-			t.Fatalf("invalid kind at %d", i)
 		}
 	}
 }
 
 func TestGenerateFrameHasAllMajorStreams(t *testing.T) {
 	j := workload.Suite()[0]
-	tr := GenerateFrame(j, 0.15)
+	tr := GeneratePacked(j, 0.15)
 	var counts [stream.NumKinds]int
-	for _, a := range tr {
-		counts[a.Kind]++
+	for i := 0; i < tr.Len(); i++ {
+		k := tr.KindAt(i)
+		if !k.Valid() {
+			t.Fatalf("invalid kind %d at %d", k, i)
+		}
+		counts[k]++
 	}
 	for _, k := range []stream.Kind{stream.Vertex, stream.HiZ, stream.Z, stream.RT, stream.Texture, stream.Display} {
 		if counts[k] == 0 {
@@ -153,18 +141,9 @@ func TestGenerateFrameHasAllMajorStreams(t *testing.T) {
 		}
 	}
 	// The two dominant streams of Figure 4 must dominate here too.
-	tot := len(tr)
+	tot := tr.Len()
 	if counts[stream.RT]+counts[stream.Texture] < tot/2 {
 		t.Errorf("rt+texture = %d of %d accesses; expected the majority", counts[stream.RT]+counts[stream.Texture], tot)
-	}
-}
-
-func TestCollector(t *testing.T) {
-	c := &Collector{}
-	c.Emit(stream.Access{Addr: 5})
-	c.Emit(stream.Access{Addr: 6})
-	if len(c.Accesses) != 2 || c.Accesses[1].Addr != 6 {
-		t.Errorf("collector = %+v", c.Accesses)
 	}
 }
 
@@ -177,7 +156,7 @@ func TestHugeCountHeaderFailsFast(t *testing.T) {
 	hdr[3] = 0x40 // ~1 billion records
 	buf.Write(hdr[:])
 	buf.WriteString("short body")
-	if _, err := Read(&buf); err == nil {
+	if _, err := ReadTrace(&buf); err == nil {
 		t.Fatal("truncated huge-count trace accepted")
 	}
 }
