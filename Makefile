@@ -32,7 +32,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/tracecache/ ./internal/harness/ ./internal/service/
+	$(GO) test -race ./internal/tracecache/ ./internal/harness/ ./internal/service/ ./internal/pipeline/ ./internal/trace/
 
 bench:
 	@test -n "$(PR)" || { echo "usage: make bench PR=<n>  (writes BENCH_PR<n>.json)" >&2; exit 2; }

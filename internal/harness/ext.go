@@ -174,8 +174,8 @@ func RunAblBanks(o Options) (*Table, error) {
 func RunAblFrontCache(o Options) (*Table, error) {
 	o = o.normalized()
 	geom := o.Geometry(paperLLCBytes)
-	withCaches := func(areaScale float64) func(*stream.Trace, workload.FrameJob) {
-		cfg := rendercache.DefaultConfig().Scaled(areaScale)
+	withCaches := func(cacheScale float64) func(*stream.Trace, workload.FrameJob) {
+		cfg := rendercache.DefaultConfig().Scaled(cacheScale)
 		return func(t *stream.Trace, j workload.FrameJob) { trace.GeneratePackedInto(t, j, o.Scale, cfg) }
 	}
 	return traceVariants(o, geom, fmt.Sprintf("Ablation: render cache scaling rule (LLC %s)", geom),

@@ -236,10 +236,3 @@ func (t *Texture) SizeBytes() int {
 	}
 	return n
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -54,13 +54,16 @@ func DefaultConfig() Config {
 }
 
 // Scaled returns the configuration with every capacity multiplied by
-// areaScale (the square of the linear frame scale), floored at one set,
-// keeping associativity and block size. Scaling the render caches with
-// the frame keeps the filtered LLC stream mix representative.
-func (c Config) Scaled(areaScale float64) Config {
+// scale, floored at one set, keeping associativity and block size.
+// Synthesis passes the linear frame scale, not its square: the render
+// caches' working sets are rows of surface tiles, which grow with the
+// frame's width, so scaling them linearly keeps the filtered LLC stream
+// mix representative (harness.RunAblFrontCache measures the area rule
+// against it).
+func (c Config) Scaled(scale float64) Config {
 	s := func(g cachesim.Geometry) cachesim.Geometry {
 		setBytes := g.Ways * g.BlockSize
-		sets := int(float64(g.SizeBytes)*areaScale) / setBytes
+		sets := int(float64(g.SizeBytes)*scale) / setBytes
 		if sets < 1 {
 			sets = 1
 		}
