@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,10 @@ import (
 	"gspc/internal/faultinject"
 	"gspc/internal/harness"
 	"gspc/internal/leakcheck"
+	"gspc/internal/pipeline"
+	"gspc/internal/rendercache"
+	"gspc/internal/stream"
+	"gspc/internal/workload"
 )
 
 // injectedRunner wraps a stub runner with a fault injector: the injector
@@ -112,6 +117,40 @@ func TestPanicStackExposureGated(t *testing.T) {
 		if !expose && st.ErrorStack != "" {
 			t.Error("ExposeStacks=false but JobStatus leaks the recovered stack")
 		}
+	}
+}
+
+// faultySink indexes out of range at its 1,000th record, as a faulty
+// cache model would.
+type faultySink struct {
+	n    int
+	none []int
+}
+
+func (s *faultySink) Emit(stream.Access) {
+	s.n++
+	if s.n == 1000 {
+		_ = s.none[s.n]
+	}
+}
+
+// TestPanicStackLocatesSynthesisFault: a runtime error in the render
+// caches, which filter on a goroutine of their own during trace
+// synthesis, fails the job with a stack that still names the faulting
+// code, not only the synthesis call that re-raised it.
+func TestPanicStackLocatesSynthesisFault(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1, CacheEntries: 8, MaxRetries: -1,
+		Run: func(context.Context, Request) (*harness.Result, error) {
+			rc := rendercache.New(rendercache.DefaultConfig().Scaled(0.05), &faultySink{})
+			pipeline.NewRenderer(rc).RenderFrame(workload.Suite()[0].Build(0.05))
+			return nil, errors.New("render returned")
+		}})
+	se := doErr(t, e, Request{Experiment: "fig1"})
+	if se.Category != CategoryPanic {
+		t.Errorf("category = %q, want panic", se.Category)
+	}
+	if !strings.Contains(se.Stack, "faultySink).Emit") {
+		t.Errorf("panic stack does not locate the fault:\n%s", se.Stack)
 	}
 }
 

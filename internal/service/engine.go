@@ -1020,6 +1020,11 @@ func (e *Engine) runOnce(ctx context.Context, job *Job) (res *harness.Result, se
 			e.panics++
 			e.mu.Unlock()
 			stack := string(debug.Stack())
+			// A fault re-raised from another goroutine (trace synthesis's
+			// render-cache stage) carries the stack that locates it.
+			if o, ok := r.(interface{ PanicStack() []byte }); ok {
+				stack = string(o.PanicStack()) + "\nre-raised:\n" + stack
+			}
 			e.cfg.Logger.Error("experiment panicked",
 				"run_id", job.ID, "trace_id", traceID(job.run),
 				"experiment", job.Req.Experiment, "panic", fmt.Sprint(r), "stack", stack)
