@@ -394,14 +394,35 @@ func BenchmarkLLCAccessDRRIPSampled(b *testing.B) {
 }
 
 // BenchmarkGPUSimulate measures the event-driven timing simulator over
-// the packed trace the harness hands it.
+// the packed trace the harness hands it, with the performance figures'
+// DRRIP+UCD baseline. It and the siblings below cover every policy the
+// performance figures simulate, one bench each.
 func BenchmarkGPUSimulate(b *testing.B) {
+	benchSimulate(b, func() cachesim.Policy { return policy.NewDRRIP(2) })
+}
+
+func BenchmarkGPUSimulateNRU(b *testing.B) {
+	benchSimulate(b, func() cachesim.Policy { return policy.NewNRU() })
+}
+
+func BenchmarkGPUSimulateGSDRRIP(b *testing.B) {
+	benchSimulate(b, func() cachesim.Policy { return policy.NewGSDRRIP(2) })
+}
+
+func BenchmarkGPUSimulateGSPC(b *testing.B) {
+	benchSimulate(b, func() cachesim.Policy { return core.New(core.DefaultParams(core.VariantGSPC)) })
+}
+
+// benchSimulate runs the timing model over the packed bench trace with a
+// fresh policy per iteration and displayable color uncached, as the
+// performance figures run every policy.
+func benchSimulate(b *testing.B, mk func() cachesim.Policy) {
 	tr := benchPacked()
 	cfg := gpu.DefaultConfig(cachesim.Geometry{SizeBytes: 256 << 10, Ways: 16, BlockSize: 64})
 	cfg.UncachedDisplay = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := gpu.SimulateSource(tr, cfg, policy.NewDRRIP(2))
+		r := gpu.SimulateSource(tr, cfg, mk())
 		if r.Cycles == 0 {
 			b.Fatal("no cycles simulated")
 		}

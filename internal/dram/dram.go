@@ -103,9 +103,6 @@ func New(cfg Config) *Memory {
 	return m
 }
 
-// Config returns the active configuration.
-func (m *Memory) Config() Config { return m.cfg }
-
 func (m *Memory) toGPU(memCycles int) int64 {
 	return int64(float64(memCycles)*m.gpuPerMem + 0.5)
 }
@@ -172,12 +169,4 @@ func (m *Memory) Access(addr uint64, now int64, write bool) int64 {
 func (m *Memory) PeakBandwidthGBps() float64 {
 	beats := float64(m.cfg.Timing.BusMHz) * 2e6 // DDR beats/sec
 	return beats * 8 * float64(m.cfg.Channels) / 1e9
-}
-
-// Reset clears bank state and statistics.
-func (m *Memory) Reset() {
-	for i := range m.chans {
-		m.chans[i] = channel{banks: make([]bank, m.cfg.BanksPerChannel)}
-	}
-	m.Stats = Stats{}
 }

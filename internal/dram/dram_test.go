@@ -94,20 +94,6 @@ func TestLatencyMath(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	m := New(testConfig())
-	m.Access(0, 0, false)
-	m.Reset()
-	if m.Stats.Reads != 0 {
-		t.Error("reset kept stats")
-	}
-	// After reset the row is closed again.
-	m.Access(0, 0, false)
-	if m.Stats.RowMisses != 1 || m.Stats.RowHits != 0 {
-		t.Errorf("post-reset stats %+v", m.Stats)
-	}
-}
-
 func TestInvalidConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

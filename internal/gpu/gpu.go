@@ -193,22 +193,24 @@ func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 	bankFree := make([]int64, cfg.LLCBanks)
 	samplerFree := make([]int64, max(1, cfg.Samplers))
 
-	h := make(eventHeap, 0, nThreads)
-	var seq int64
-	for t := 0; t < nThreads && t < nChunks; t++ {
+	// Every thread with a chunk starts at t = 0, in thread order.
+	started := min(nThreads, nChunks)
+	for t := 0; t < started; t++ {
 		chunkOf[t] = t
-		h = append(h, event{t: 0, seq: seq, thread: int32(t)})
-		seq++
 	}
-	h.init()
+	q := newCalendar(nThreads)
+	q.start(started)
+	seq := int64(started)
 
-	// Each iteration serves the earliest event at the root of the heap.
-	// A thread with work left is rescheduled by overwriting the root in
-	// place and sifting it down; a retiring thread's event is popped.
+	// Each iteration serves the earliest event. A thread with work left
+	// is rescheduled at its resume time; a retiring thread is not.
 	var cycles int64
 	var accesses int64
-	for len(h) > 0 {
-		ev := h[0]
+	for {
+		ev, ok := q.pop()
+		if !ok {
+			break
+		}
 		th := int(ev.thread)
 
 		// Fetch the thread's next access, advancing through its chunks.
@@ -223,10 +225,10 @@ func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 			idx[th] = 0
 		}
 		if pos < 0 {
+			// The thread retires.
 			if ev.t > cycles {
 				cycles = ev.t
 			}
-			h.pop() // thread retires
 			continue
 		}
 		kind, write := stream.UnpackMeta(meta[pos])
@@ -249,9 +251,6 @@ func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 
 		// Banked LLC pipeline: one access per bank per cycle.
 		b := llc.SetIndex(a.Addr) * cfg.LLCBanks / llc.Sets()
-		if b >= cfg.LLCBanks {
-			b = cfg.LLCBanks - 1
-		}
 		if bankFree[b] > t {
 			t = bankFree[b]
 		}
@@ -281,9 +280,8 @@ func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 		if done > cycles {
 			cycles = done
 		}
-		h[0] = event{t: resume, seq: seq, thread: int32(th)}
+		q.push(event{t: resume, seq: seq, thread: int32(th)})
 		seq++
-		h.down(0)
 	}
 
 	fps := 0.0
@@ -302,63 +300,6 @@ func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 		LLC:      llc.Stats,
 		DRAM:     mem.Stats,
 		Accesses: accesses,
-	}
-}
-
-// event is one thread's next wake-up. seq is unique, so (t, seq)
-// orders events totally: the order events leave the heap does not
-// depend on the heap's shape, and ties in t go to the earlier-scheduled
-// thread.
-type event struct {
-	t      int64
-	seq    int64
-	thread int32
-}
-
-func (e event) before(o event) bool {
-	return e.t < o.t || e.t == o.t && e.seq < o.seq
-}
-
-// eventHeap is a binary min-heap of events ordered by (t, seq). It holds
-// events by value, so scheduling allocates nothing.
-type eventHeap []event
-
-// init establishes the heap order over arbitrary contents.
-func (h eventHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-// down restores the heap order after h[i] moved later.
-func (h eventHeap) down(i int) {
-	e := h[i]
-	n := len(h)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && h[r].before(h[c]) {
-			c = r
-		}
-		if !h[c].before(e) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = e
-}
-
-// pop removes the root.
-func (h *eventHeap) pop() {
-	old := *h
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	if n > 0 {
-		h.down(0)
 	}
 }
 

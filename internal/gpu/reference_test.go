@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 )
 
-// refHeap is the scheduler the typed event heap replaced: container/heap
-// over the same events, with its own (t, seq) comparison.
+// refHeap is the event loop's first scheduler: container/heap over the
+// same events, with its own (t, seq) comparison.
 type refHeap []event
 
 func (h refHeap) Len() int { return len(h) }
@@ -27,11 +27,12 @@ func (h *refHeap) Pop() any {
 	return x
 }
 
-// TestEventHeapAgainstContainerHeap drives the typed heap the way the
-// event loop does — serve the root, then either retire it or reschedule
-// it in place — next to container/heap doing Pop then Push, and demands
-// the same event at the root at every step. Small random times make ties
-// in t common, so the seq tie-break is exercised.
+// TestEventHeapAgainstContainerHeap drives the typed heap that holds
+// the calendar's far events — serve the root, then either retire it or
+// push its thread's next event — next to container/heap doing Pop then
+// Push, and demands the same event at the root at every step. Small
+// random times make ties in t common, so the seq tie-break is
+// exercised.
 func TestEventHeapAgainstContainerHeap(t *testing.T) {
 	f := func(start []uint8, steps []int8) bool {
 		var h eventHeap
@@ -40,26 +41,24 @@ func TestEventHeapAgainstContainerHeap(t *testing.T) {
 		for i, v := range start {
 			e := event{t: int64(v), seq: seq, thread: int32(i)}
 			seq++
-			h = append(h, e)
-			ref = append(ref, e)
+			h.push(e)
+			heap.Push(&ref, e)
 		}
-		h.init()
-		heap.Init(&ref)
 		for _, d := range steps {
 			if len(h) == 0 {
 				break
 			}
-			if h[0] != heap.Pop(&ref).(event) {
+			root := h[0]
+			if root != heap.Pop(&ref).(event) {
 				return false
 			}
+			h.pop()
 			if d%3 == 0 {
-				h.pop()
 				continue
 			}
-			e := event{t: h[0].t + int64(d%16), seq: seq, thread: h[0].thread}
+			e := event{t: root.t + int64(d%16), seq: seq, thread: root.thread}
 			seq++
-			h[0] = e
-			h.down(0)
+			h.push(e)
 			heap.Push(&ref, e)
 		}
 		for len(h) > 0 {
@@ -71,6 +70,88 @@ func TestEventHeapAgainstContainerHeap(t *testing.T) {
 		return ref.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// calHorizon is the span of the calendar's ring in cycles.
+const calHorizon = calBuckets << calShift
+
+// wakeDelta draws how far after the served event a thread's next event
+// lands: mostly the loop's own mix of near deltas, with ties in t, both
+// sides of the ring's horizon, wake-ups many horizons out, and — beyond
+// anything the loop does — events earlier than the one just served.
+func wakeDelta(rng *rand.Rand) int64 {
+	switch r := rng.Intn(16); {
+	case r < 4:
+		return rng.Int63n(4) // ties, often in the same bucket
+	case r < 9:
+		return rng.Int63n(4000)
+	case r < 12:
+		return calHorizon - 2<<calShift + rng.Int63n(4<<calShift)
+	case r < 15:
+		return calHorizon*(1+rng.Int63n(40)) + rng.Int63n(calHorizon)
+	default:
+		return -1 - rng.Int63n(64)
+	}
+}
+
+// TestCalendarAgainstContainerHeap drives the calendar the way the
+// event loop does — start every thread at t = 0 in thread order, serve
+// the earliest event, then reschedule that thread or retire it — next to
+// container/heap over the same events, and demands the same (t, seq,
+// thread) at every step. Half the cases instead start from pushes at
+// scattered times, some beyond the ring. wakeDelta supplies tied times,
+// wake-ups on both sides of the horizon and far beyond it, and earlier
+// times the loop never schedules, so the ring, the far heap and their
+// interleaving are all checked.
+func TestCalendarAgainstContainerHeap(t *testing.T) {
+	f := func(seed int64, threads uint8, scattered bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(threads)%64
+		q := newCalendar(n)
+		var ref refHeap
+		if scattered {
+			for i := 0; i < n; i++ {
+				e := event{t: rng.Int63n(3 * calHorizon), seq: int64(i), thread: int32(i)}
+				q.push(e)
+				heap.Push(&ref, e)
+			}
+		} else {
+			q.start(n)
+			for i := 0; i < n; i++ {
+				heap.Push(&ref, event{seq: int64(i), thread: int32(i)})
+			}
+		}
+		seq := int64(n)
+		for step := 0; step < 4000; step++ {
+			ev, ok := q.pop()
+			if ok != (ref.Len() > 0) {
+				return false
+			}
+			if !ok {
+				return true
+			}
+			if ev != heap.Pop(&ref).(event) {
+				return false
+			}
+			if rng.Intn(64) == 0 {
+				continue // the thread retires
+			}
+			e := event{t: ev.t + wakeDelta(rng), seq: seq, thread: ev.thread}
+			seq++
+			q.push(e)
+			heap.Push(&ref, e)
+		}
+		for ref.Len() > 0 {
+			if ev, ok := q.pop(); !ok || ev != heap.Pop(&ref).(event) {
+				return false
+			}
+		}
+		_, ok := q.pop()
+		return !ok && q.n == 0 && q.summary == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gspc/internal/panics"
 )
 
 // replayWorkers resolves the concurrency budget an experiment may spend,
@@ -32,7 +34,10 @@ func (o Options) replayWorkers() int {
 // The first job error cancels the derived context, stopping the other
 // jobs at their next poll; fanOut reports a real failure in preference to
 // the cancellations it caused, and a parent-context death (Canceled or
-// DeadlineExceeded) surfaces as itself.
+// DeadlineExceeded) surfaces as itself. A job that panics on a worker
+// goroutine does the same, and once every worker has returned fanOut
+// raises the first such panic again on the caller's goroutine (see
+// panics.First), where a recover can catch it.
 func fanOut(ctx context.Context, workers, n int, run func(ctx context.Context, i int) error) error {
 	if workers > n {
 		workers = n
@@ -53,10 +58,12 @@ func fanOut(ctx context.Context, workers, n int, run func(ctx context.Context, i
 	errs := make([]error, n)
 	var next int64 = -1
 	var wg sync.WaitGroup
+	var fault panics.First
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer fault.Recover(cancel)
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
@@ -74,6 +81,7 @@ func fanOut(ctx context.Context, workers, n int, run func(ctx context.Context, i
 		}()
 	}
 	wg.Wait()
+	fault.Raise()
 	var first error
 	for _, err := range errs {
 		if err == nil {

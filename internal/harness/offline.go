@@ -8,6 +8,7 @@ import (
 
 	"gspc/internal/cachesim"
 	"gspc/internal/core"
+	"gspc/internal/panics"
 	"gspc/internal/policy"
 	"gspc/internal/stream"
 	"gspc/internal/telemetry"
@@ -44,7 +45,10 @@ type frameTrace struct {
 // placeholders into the buffered channels and exit, and forEachFrame
 // joins them before returning, stranding no goroutine. A worker's
 // cancelled cache lookup likewise yields a nil placeholder; the consumer
-// translates any nil into the context's error.
+// translates any nil into the context's error. An acquisition that
+// panics yields a nil placeholder too and cancels the pool, and once
+// the pool is joined forEachFrame raises the first such panic again on
+// the caller's goroutine (see panics.First).
 func forEachFrame(o Options, fn func(j workload.FrameJob, tr *stream.Trace, plan *samplePlan) error) error {
 	o = o.normalized()
 	ctx, cancel := context.WithCancel(o.ctx())
@@ -77,6 +81,7 @@ func forEachFrame(o Options, fn func(j workload.FrameJob, tr *stream.Trace, plan
 	}
 	var next int64 = -1
 	var wg sync.WaitGroup
+	var fault panics.First
 	// Cancel before joining: the workers drain the remaining indices with
 	// nil placeholder sends (never blocking — each buffered channel takes
 	// exactly one send), so the join is prompt and bounded by at most one
@@ -84,7 +89,16 @@ func forEachFrame(o Options, fn func(j workload.FrameJob, tr *stream.Trace, plan
 	defer func() {
 		cancel()
 		wg.Wait()
+		fault.Raise()
 	}()
+	acquire := func(j workload.FrameJob) frameTrace {
+		defer fault.Recover(cancel)
+		tr, plan, err := acquireFrame(ctx, o, j)
+		if err != nil {
+			return frameTrace{}
+		}
+		return frameTrace{tr: tr, plan: plan}
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -99,11 +113,7 @@ func forEachFrame(o Options, fn func(j workload.FrameJob, tr *stream.Trace, plan
 					continue
 				}
 				poolSynths.Add(1)
-				tr, plan, err := acquireFrame(ctx, o, jobs[i])
-				if err != nil {
-					tr, plan = nil, nil
-				}
-				traces[i] <- frameTrace{tr: tr, plan: plan}
+				traces[i] <- acquire(jobs[i])
 			}
 		}()
 	}

@@ -1,10 +1,9 @@
 package pipeline
 
 import (
-	"runtime"
-	"runtime/debug"
 	"sync"
 
+	"gspc/internal/panics"
 	"gspc/internal/rendercache"
 )
 
@@ -109,24 +108,6 @@ type applyStage struct {
 // on a panic; RenderFrame replaces it with the stage's own value.
 type stageStopped struct{}
 
-// stageFault is what RenderFrame re-raises for a runtime error (a fault
-// in the cache model or a sink) that stopped the apply stage. Raised
-// again on the caller's goroutine, the error would lose the stack that
-// locates the fault, so stageFault keeps it. It is still a runtime.Error
-// with the same message. Other panic values, such as a sink's deliberate
-// sentinel, re-raise unchanged.
-type stageFault struct {
-	err   runtime.Error
-	stack []byte
-}
-
-func (f *stageFault) Error() string { return f.err.Error() }
-func (f *stageFault) RuntimeError() {}
-
-// PanicStack returns the stack of the apply stage's goroutine at the
-// fault.
-func (f *stageFault) PanicStack() []byte { return f.stack }
-
 func startApplyStage(rc *rendercache.Complex) *applyStage {
 	s := &applyStage{
 		rc:   rc,
@@ -146,10 +127,7 @@ func (s *applyStage) run() {
 	defer func() {
 		if cur != nil {
 			// A panic stopped the stage mid-batch.
-			s.failed, s.val = true, recover()
-			if err, ok := s.val.(runtime.Error); ok {
-				s.val = &stageFault{err, debug.Stack()}
-			}
+			s.failed, s.val = true, panics.Carry(recover())
 			cur.n = 0
 			s.free <- cur
 		}

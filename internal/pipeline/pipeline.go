@@ -169,7 +169,7 @@ func NewRenderer(rc *rendercache.Complex) *Renderer {
 // Stats, its sink and the pixel counters are complete. A panic raised
 // while applying requests (by the sink or the cache model) stops the
 // render and re-raises here with its own value; a runtime error is
-// wrapped with the stack it was raised on (see stageFault).
+// wrapped with the stack it was raised on (see panics.Carry).
 func (r *Renderer) RenderFrame(f *Frame) {
 	if f.BackBuffer == nil {
 		panic("pipeline: frame has no back buffer")
