@@ -1,10 +1,11 @@
 // Package cachesim implements a generic set-associative cache model with
 // pluggable replacement policies, per-stream statistics, bypass support,
 // and observer hooks for characterization. It is the offline LLC simulator
-// of the paper (Section 2) and also serves as the building block for the
-// render-cache complex in front of the LLC (internal/rendercache) — each
-// render cache is an instance of this model with an LRU policy and a
-// downstream sink.
+// of the paper (Section 2) and the LLC of the timing model
+// (internal/gpu). The render caches in front of the LLC
+// (internal/rendercache) use LRUCache instead: a fixed-LRU model with a
+// downstream sink that keeps each set in recency order and matches, access
+// for access, a Cache with an LRU policy.
 package cachesim
 
 import (
@@ -213,16 +214,6 @@ type Cache struct {
 	// estimate in SampleReport. Nil on unsampled caches.
 	setAcc []int64
 
-	// last memoizes the block the previous access left resident: its
-	// block number plus one (0 = none) and its compact set and way. A
-	// repeat of that block is a hit there, found without a set index or
-	// a tag scan. Hits and fills point the memo at their block. Only a
-	// fill evicts, and it repoints the memo at itself, so the memo never
-	// names an evicted block and needs no eviction hook; Reset and the
-	// two bypass exits clear it.
-	last             uint64
-	lastSet, lastWay int
-
 	// bypassKind[k] forces accesses of kind k to bypass the cache
 	// entirely (they are counted as misses and forwarded downstream).
 	// This implements the paper's "uncached displayable color" (UCD).
@@ -263,23 +254,31 @@ func New(geom Geometry, policy Policy) *Cache {
 // sampleMap the caller fills in.
 func newCache(geom Geometry, policy Policy, sets int) *Cache {
 	c := &Cache{
-		geom:      geom,
-		sets:      sets,
-		indexSets: geom.Sets(),
-		index:     newFastmod(uint64(geom.Sets())),
-		ways:      geom.Ways,
-		policy:    policy,
-	}
-	for 1<<c.blockShift < geom.BlockSize {
-		c.blockShift++
-	}
-	if 1<<c.blockShift != geom.BlockSize || c.blockShift == 0 {
-		panic(fmt.Sprintf("cachesim: block size %d is not a power of two of at least 2 bytes", geom.BlockSize))
+		geom:       geom,
+		sets:       sets,
+		indexSets:  geom.Sets(),
+		index:      newFastmod(uint64(geom.Sets())),
+		ways:       geom.Ways,
+		blockShift: blockShift(geom.BlockSize),
+		policy:     policy,
 	}
 	c.tags = make([]uint64, sets*c.ways)
 	c.dirty = make([]bool, sets*c.ways)
 	policy.Reset(sets, c.ways)
 	return c
+}
+
+// blockShift returns log2 of a block size, panicking unless the size is
+// a power of two of at least 2 bytes.
+func blockShift(blockSize int) uint {
+	var shift uint
+	for 1<<shift < blockSize {
+		shift++
+	}
+	if 1<<shift != blockSize || shift == 0 {
+		panic(fmt.Sprintf("cachesim: block size %d is not a power of two of at least 2 bytes", blockSize))
+	}
+	return shift
 }
 
 // Geometry returns the cache organization.
@@ -372,29 +371,6 @@ func (c *Cache) Emit(a stream.Access) { c.Access(a) }
 // are built only when an observer is attached.
 func (c *Cache) Access(a stream.Access) bool {
 	bn := a.Addr >> c.blockShift
-	if bn+1 == c.last {
-		// A repeat of the block the previous access left resident: the
-		// scan's hit bookkeeping, without a set index or a tag scan. It
-		// is written out twice because routing both hits through one
-		// shared tail slowed the LLC replay, where repeats are rare,
-		// by 2-9%.
-		set, way := c.lastSet, c.lastWay
-		if c.setAcc != nil {
-			c.setAcc[set]++
-		}
-		c.Stats.Accesses++
-		c.Stats.KindAccesses[a.Kind]++
-		c.Stats.Hits++
-		c.Stats.KindHits[a.Kind]++
-		if a.Write {
-			c.dirty[set*c.ways+way] = true
-		}
-		c.policy.Hit(set, way, a)
-		if len(c.observers) != 0 {
-			c.notify(Event{Type: EvHit, Access: a, Set: set, Way: way, Tag: bn})
-		}
-		return true
-	}
 	set := int(c.index.mod(bn))
 	if c.sampleMap != nil {
 		cs := c.sampleMap[set]
@@ -424,7 +400,6 @@ func (c *Cache) Access(a stream.Access) bool {
 			if len(c.observers) != 0 {
 				c.notify(Event{Type: EvHit, Access: a, Set: set, Way: w, Tag: bn})
 			}
-			c.last, c.lastSet, c.lastWay = bn+1, set, w
 			return true
 		}
 		if t == 0 {
@@ -440,7 +415,6 @@ func (c *Cache) Access(a stream.Access) bool {
 		// The access skips the cache entirely: reads fetch from
 		// downstream, writes go straight through.
 		c.Stats.Bypasses++
-		c.last = 0
 		if c.Downstream != nil {
 			c.Downstream.Emit(stream.Access{Addr: a.Addr, Kind: a.Kind, Write: a.Write})
 		}
@@ -461,7 +435,6 @@ func (c *Cache) Access(a stream.Access) bool {
 		way = c.policy.Victim(set, a)
 		if way < 0 {
 			c.Stats.Bypasses++
-			c.last = 0
 			if len(c.observers) != 0 {
 				c.notify(Event{Type: EvBypass, Access: a, Set: set, Way: -1, Tag: bn})
 			}
@@ -494,14 +467,13 @@ func (c *Cache) Access(a stream.Access) bool {
 	if len(c.observers) != 0 {
 		c.notify(Event{Type: EvFill, Access: a, Set: set, Way: way, Tag: bn})
 	}
-	c.last, c.lastSet, c.lastWay = bn+1, set, way
 	return false
 }
 
 // DrainWritebacks emits a downstream write for every dirty block and
-// marks it clean. Render caches call this at end of frame so that partial
-// tiles still resident reach the LLC trace, mirroring a frame-boundary
-// flush.
+// marks it clean, set by set and way by way: a frame-boundary flush.
+// LRUCache.Flush, which the render caches call at frame end, emits in
+// the same order, and tests hold it to this method.
 func (c *Cache) DrainWritebacks() {
 	if c.Downstream == nil {
 		return
@@ -522,7 +494,6 @@ func (c *Cache) DrainWritebacks() {
 func (c *Cache) Reset() {
 	clear(c.tags)
 	clear(c.dirty)
-	c.last = 0
 	c.Stats = Stats{}
 	clear(c.setAcc)
 	c.policy.Reset(c.sets, c.ways)

@@ -26,9 +26,8 @@ func (p *bypassingPolicy) Victim(set int, a stream.Access) int {
 // bits), each access with a random stream kind, write flag and
 // intra-block offset. Half the traces are repeat-heavy: runs of 1-8
 // accesses to one block, each access with its own kind, write flag and
-// offset — the shape render caches see, which Cache.Access serves from
-// its resident-block memo. The caches under test are Reset before
-// access ResetAt; half the traces have no Reset.
+// offset — the shape render caches see. The caches under test are Reset
+// before access ResetAt; half the traces have no Reset.
 type testTrace struct {
 	Accs    []stream.Access
 	ResetAt int

@@ -22,6 +22,7 @@ package gpu
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"gspc/internal/cachesim"
 	"gspc/internal/dram"
@@ -149,7 +150,7 @@ func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 	// instead of receiving data at the LLC pipeline latency; a second
 	// miss merges rather than issuing a duplicate DRAM fetch. Entries
 	// whose fill has completed are lazily reclaimed.
-	mshr := newMSHRTable()
+	mshr := mshrTables.Get().(*mshrTable)
 
 	// The LLC's downstream is DRAM: demand fetches and writebacks are
 	// issued at the simulation time of the access that triggered them.
@@ -294,6 +295,8 @@ func SimulateSource(tr *stream.Trace, cfg Config, pol cachesim.Policy) Result {
 		telemetry.RecordLLCStream(k.String(), llc.Stats.KindAccesses[k], llc.Stats.KindHits[k])
 	}
 	telemetry.RecordDRAM(mem.Stats.Reads, mem.Stats.Writes, mem.Stats.RowHits, mem.Stats.RowMisses, mem.Stats.RowConflicts)
+	mshr.reset()
+	mshrTables.Put(mshr)
 	return Result{
 		Cycles:   cycles,
 		FPS:      fps,
@@ -340,6 +343,17 @@ func newMSHRTable() *mshrTable {
 	m := &mshrTable{}
 	m.setSlots(make([]mshrSlot, mshrInitialSlots))
 	return m
+}
+
+// mshrTables recycles tables, and their spare arrays, across
+// simulations. An emptied table behaves as a new one even if it grew:
+// the sweep points depend on the entry count, not the slot count.
+var mshrTables = sync.Pool{New: func() any { return newMSHRTable() }}
+
+// reset empties the table, keeping both slot arrays.
+func (m *mshrTable) reset() {
+	clear(m.slots)
+	m.n = 0
 }
 
 // setSlots makes slots the live array and derives its hash shift.

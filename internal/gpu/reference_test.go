@@ -159,57 +159,72 @@ func TestCalendarAgainstContainerHeap(t *testing.T) {
 // TestMSHRTableAgainstMap replays random get/put/sweep sequences on the
 // MSHR table and on the plain map it replaced, and demands identical
 // lookups after every operation and identical contents after every
-// sweep. The key span and sweep rate vary per case, so runs range from
-// heavy overwriting of a few blocks to table growth past its initial
-// size; block 0 and block numbers near the top of the address space
-// are both drawn.
+// sweep. The key span and sweep rate vary per sequence, so runs range
+// from heavy overwriting of a few blocks to table growth past its
+// initial size; block 0 and block numbers near the top of the address
+// space are both drawn. Each case runs two sequences on one table and
+// resets it between them, as a simulation does before recycling it, so
+// the second starts on emptied and often grown arrays.
 func TestMSHRTableAgainstMap(t *testing.T) {
-	f := func(seed int64, span uint16, sweepEvery uint16) bool {
+	f := func(seed int64, span, sweepEvery uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := newMSHRTable()
-		ref := map[uint64]int64{}
-		same := func() bool {
-			if m.n != len(ref) {
-				return false
-			}
-			for k, v := range ref {
-				if d, ok := m.get(k); !ok || d != v {
-					return false
-				}
-			}
-			return true
+		if !mshrAgreesWithMap(m, rng, int(span), int(sweepEvery)) {
+			return false
 		}
-		for i := 0; i < 20000; i++ {
-			b := uint64(rng.Intn(1 + int(span)))
-			if rng.Intn(16) == 0 {
-				b = rng.Uint64() >> 6
-			}
-			if i%(1+int(sweepEvery)) == 0 {
-				now := rng.Int63n(1000)
-				m.sweep(now)
-				for k, d := range ref {
-					if d <= now {
-						delete(ref, k)
-					}
-				}
-				if !same() {
-					return false
-				}
-			}
-			d, ok := m.get(b)
-			rd, rok := ref[b]
-			if ok != rok || ok && d != rd {
-				return false
-			}
-			if rng.Intn(2) == 0 {
-				done := rng.Int63n(1000)
-				m.put(b, done)
-				ref[b] = done
-			}
-		}
-		return same()
+		m.reset()
+		return mshrAgreesWithMap(m, rng, rng.Intn(1<<16), rng.Intn(1<<16))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// mshrAgreesWithMap drives m, which must be empty, and a new map through
+// one random sequence and reports whether they agreed throughout.
+func mshrAgreesWithMap(m *mshrTable, rng *rand.Rand, span, sweepEvery int) bool {
+	ref := map[uint64]int64{}
+	same := func() bool {
+		if m.n != len(ref) {
+			return false
+		}
+		for k, v := range ref {
+			if d, ok := m.get(k); !ok || d != v {
+				return false
+			}
+		}
+		return true
+	}
+	if !same() {
+		return false
+	}
+	for i := 0; i < 20000; i++ {
+		b := uint64(rng.Intn(1 + span))
+		if rng.Intn(16) == 0 {
+			b = rng.Uint64() >> 6
+		}
+		if i%(1+sweepEvery) == 0 {
+			now := rng.Int63n(1000)
+			m.sweep(now)
+			for k, d := range ref {
+				if d <= now {
+					delete(ref, k)
+				}
+			}
+			if !same() {
+				return false
+			}
+		}
+		d, ok := m.get(b)
+		rd, rok := ref[b]
+		if ok != rok || ok && d != rd {
+			return false
+		}
+		if rng.Intn(2) == 0 {
+			done := rng.Int63n(1000)
+			m.put(b, done)
+			ref[b] = done
+		}
+	}
+	return same()
 }
