@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"gspc/internal/cachesim"
+	"gspc/internal/policy"
 	"gspc/internal/stream"
 )
 
@@ -69,8 +70,6 @@ type Params struct {
 	// Banks is the number of LLC banks, each owning one counter block.
 	// The paper's 8 MB LLC has four 2 MB banks.
 	Banks int
-	// RRIPBits is the RRPV width; the paper uses 2.
-	RRIPBits int
 	// ProdConsHi and ProdConsLo are the render-target consumption
 	// thresholds of the GSPC variant: insertion RRPV is distant when
 	// PROD > Hi*CONS (consumption probability < 1/Hi), long when
@@ -88,7 +87,6 @@ func DefaultParams(v Variant) Params {
 		Variant:     v,
 		T:           8,
 		Banks:       4,
-		RRIPBits:    2,
 		ProdConsHi:  16,
 		ProdConsLo:  8,
 		SampleEvery: 64,
@@ -137,15 +135,24 @@ func (c *Counters) bump() {
 	c.Acc = 0
 }
 
+// The paper fixes GSPC at two-bit RRPVs: fills insert at the distant
+// RRPV, the long one or zero.
+const (
+	rripBits    = 2
+	distantRRPV = 1<<rripBits - 1
+	longRRPV    = distantRRPV - 1
+)
+
 // Policy is the GSPC family replacement policy. It satisfies
-// cachesim.Policy and maintains, on top of the RRPV bits, two state bits
-// per block and one Counters block per LLC bank.
+// cachesim.Policy. It embeds the RRIP state every RRIP policy shares, so
+// sample and non-sample sets alike pick victims with the standard RRIP
+// scan, and adds two state bits per block and one Counters block per
+// LLC bank.
 type Policy struct {
+	policy.RRIP
 	p    Params
-	max  uint8 // RRPV max (2^bits - 1)
 	ways int
 
-	rrpv  []uint8
 	state []uint8
 	banks []Counters
 	// sample and bankOf are the per-set sample flag and owning counter
@@ -180,9 +187,6 @@ func New(p Params) *Policy {
 	if p.Banks <= 0 {
 		p.Banks = d.Banks
 	}
-	if p.RRIPBits <= 0 {
-		p.RRIPBits = d.RRIPBits
-	}
 	if p.ProdConsHi <= 0 {
 		p.ProdConsHi = d.ProdConsHi
 	}
@@ -192,7 +196,7 @@ func New(p Params) *Policy {
 	if p.SampleEvery <= 0 {
 		p.SampleEvery = d.SampleEvery
 	}
-	return &Policy{p: p, max: uint8(1<<p.RRIPBits - 1)}
+	return &Policy{RRIP: policy.NewRRIP(rripBits), p: p}
 }
 
 // Name implements cachesim.Policy.
@@ -208,25 +212,16 @@ func (g *Policy) Params() Params { return g.p }
 
 // Reset implements cachesim.Policy.
 func (g *Policy) Reset(sets, ways int) {
+	g.RRIP.Reset(sets, ways)
 	g.ways = ways
-	n := sets * ways
-	g.rrpv = make([]uint8, n)
-	for i := range g.rrpv {
-		g.rrpv[i] = g.max
-	}
-	g.state = make([]uint8, n)
+	g.state = make([]uint8, sets*ways)
 	g.banks = make([]Counters, g.p.Banks)
 	g.Insertions = InsertionStats{}
+	g.bankOf = policy.BankOf(sets, g.p.Banks)
 	g.sample = make([]bool, sets)
-	g.bankOf = make([]int32, sets)
-	m, per := g.p.SampleEvery, sets/g.p.Banks
+	m := g.p.SampleEvery
 	for s := range g.sample {
 		g.sample[s] = s%m == (s/m)%m
-		// Banks own equal contiguous runs of sets, the last one also the
-		// remainder; with fewer sets than banks, bank 0 owns them all.
-		if per > 0 {
-			g.bankOf[s] = int32(min(s/per, g.p.Banks-1))
-		}
 	}
 }
 
@@ -243,12 +238,6 @@ func (g *Policy) CountersFor(set int) Counters { return *g.bank(set) }
 
 // StateOf exposes a block's two state bits, for tests and analysis.
 func (g *Policy) StateOf(set, way int) uint8 { return g.state[set*g.ways+way] }
-
-// RRPV exposes a block's re-reference prediction value, for tests.
-func (g *Policy) RRPV(set, way int) uint8 { return g.rrpv[set*g.ways+way] }
-
-// MaxRRPV returns the distant RRPV (2^bits - 1).
-func (g *Policy) MaxRRPV() uint8 { return g.max }
 
 // isRTKind reports whether the access belongs to the render target stream
 // from the policy's viewpoint. Displayable color is a render target
@@ -268,40 +257,35 @@ func (g *Policy) Hit(set, way int, a stream.Access) {
 	i := set*g.ways + way
 	if g.IsSample(set) {
 		g.sampleHit(set, i, a)
+		// Samples always execute SRRIP: every hit promotes to RRPV zero.
+		g.SetRRPV(set, way, 0)
 		return
 	}
-	c := g.bank(set)
+	var v uint8 // hits promote to zero unless a texture epoch says otherwise
 	switch {
 	case a.Kind == stream.Texture:
+		c := g.bank(set)
 		switch g.state[i] {
 		case StateRT:
 			// Render target consumed as texture: the block becomes an E0
 			// texture block and its RRPV reflects the sampled E0 reuse
 			// probability (Table 4).
 			g.state[i] = StateE0
-			g.rrpv[i] = g.texInsertRRPV(c, 0)
+			v = g.texInsertRRPV(c, 0)
 		case StateE0:
 			if g.p.Variant >= VariantGSPZTCTSE {
 				g.state[i] = StateE1
-				g.rrpv[i] = g.texInsertRRPV(c, 1)
-			} else {
-				g.rrpv[i] = 0
+				v = g.texInsertRRPV(c, 1)
 			}
-		case StateE1:
-			g.state[i] = StateE2
-			g.rrpv[i] = 0
 		default:
 			g.state[i] = StateE2
-			g.rrpv[i] = 0
 		}
 	case isRTKind(a.Kind):
 		// Blending or surface reuse: the block (re)becomes a render
 		// target with the highest protection (Tables 3 and 5).
 		g.state[i] = StateRT
-		g.rrpv[i] = 0
-	default:
-		g.rrpv[i] = 0
 	}
+	g.SetRRPV(set, way, v)
 }
 
 // texInsertRRPV returns the RRPV for a block entering texture epoch e:
@@ -309,7 +293,7 @@ func (g *Policy) Hit(set, way int, a stream.Access) {
 // otherwise (filling textures with RRPV two hurts performance, Section 3).
 func (g *Policy) texInsertRRPV(c *Counters, e int) uint8 {
 	if g.distant(c.FillE[e], c.HitE[e]) {
-		return g.max
+		return distantRRPV
 	}
 	return 0
 }
@@ -317,8 +301,6 @@ func (g *Policy) texInsertRRPV(c *Counters, e int) uint8 {
 func (g *Policy) sampleHit(set, i int, a stream.Access) {
 	c := g.bank(set)
 	c.bump()
-	// Samples always execute SRRIP: every hit promotes to RRPV zero.
-	g.rrpv[i] = 0
 	switch {
 	case a.Kind == stream.Z:
 		sat(&c.HitZ)
@@ -354,88 +336,62 @@ func (g *Policy) Fill(set, way int, a stream.Access) {
 	i := set*g.ways + way
 	if g.IsSample(set) {
 		g.sampleFill(set, i, a)
+		// Samples always execute SRRIP: fills are inserted with RRPV 2^n - 2.
+		g.SetRRPV(set, way, longRRPV)
 		return
 	}
 	c := g.bank(set)
+	v, st := uint8(longRRPV), StateE0
 	switch {
 	case a.Kind == stream.Z:
 		if g.distant(c.FillZ, c.HitZ) {
-			g.rrpv[i] = g.max
+			v = distantRRPV
 			g.Insertions.ZDistant++
 		} else {
-			g.rrpv[i] = g.max - 1
 			g.Insertions.ZLong++
 		}
-		g.state[i] = StateE0
 	case a.Kind == stream.Texture:
-		g.rrpv[i] = g.texInsertRRPV(c, 0)
-		if g.rrpv[i] == g.max {
+		v = g.texInsertRRPV(c, 0)
+		if v == distantRRPV {
 			g.Insertions.TexDistant++
 		} else {
 			g.Insertions.TexZero++
 		}
-		g.state[i] = StateE0
 	case isRTKind(a.Kind):
-		g.state[i] = StateRT
-		if g.p.Variant >= VariantGSPC {
-			switch {
-			case int(c.Prod) > g.p.ProdConsHi*int(c.Cons):
-				g.rrpv[i] = g.max
-				g.Insertions.RTDistant++
-			case int(c.Prod) > g.p.ProdConsLo*int(c.Cons):
-				g.rrpv[i] = g.max - 1
-				g.Insertions.RTLong++
-			default:
-				g.rrpv[i] = 0
-				g.Insertions.RTZero++
-			}
-		} else {
+		st = StateRT
+		switch {
+		case g.p.Variant < VariantGSPC:
 			// GSPZTC and GSPZTC+TSE statically give render targets the
 			// highest possible protection to enable RT->TEX reuse.
-			g.rrpv[i] = 0
+			v = 0
+			g.Insertions.RTZero++
+		case int(c.Prod) > g.p.ProdConsHi*int(c.Cons):
+			v = distantRRPV
+			g.Insertions.RTDistant++
+		case int(c.Prod) > g.p.ProdConsLo*int(c.Cons):
+			g.Insertions.RTLong++
+		default:
+			v = 0
 			g.Insertions.RTZero++
 		}
-	default:
-		g.rrpv[i] = g.max - 1
-		g.state[i] = StateE0
 	}
+	g.state[i] = st
+	g.SetRRPV(set, way, v)
 }
 
 func (g *Policy) sampleFill(set, i int, a stream.Access) {
 	c := g.bank(set)
 	c.bump()
-	// Samples always execute SRRIP: fills are inserted with RRPV 2^n - 2.
-	g.rrpv[i] = g.max - 1
+	g.state[i] = StateE0
 	switch {
 	case a.Kind == stream.Z:
 		sat(&c.FillZ)
-		g.state[i] = StateE0
 	case a.Kind == stream.Texture:
 		sat(&c.FillE[0])
-		g.state[i] = StateE0
 	case isRTKind(a.Kind):
 		g.state[i] = StateRT
 		if g.p.Variant >= VariantGSPC {
 			sat(&c.Prod)
-		}
-	default:
-		g.state[i] = StateE0
-	}
-}
-
-// Victim implements cachesim.Policy: the standard RRIP scan, aging the set
-// until a block with the distant RRPV exists and breaking ties toward the
-// minimum physical way id. Sample and non-sample sets share this logic.
-func (g *Policy) Victim(set int, a stream.Access) int {
-	base := set * g.ways
-	for {
-		for w := 0; w < g.ways; w++ {
-			if g.rrpv[base+w] == g.max {
-				return w
-			}
-		}
-		for w := 0; w < g.ways; w++ {
-			g.rrpv[base+w]++
 		}
 	}
 }
@@ -444,9 +400,8 @@ func (g *Policy) Victim(set int, a stream.Access) int {
 // the paper's RT bit is reset on LLC eviction because only in-LLC
 // render-target-to-texture reuses are of interest.
 func (g *Policy) Evict(set, way int) {
-	i := set*g.ways + way
-	g.rrpv[i] = g.max
-	g.state[i] = StateE0
+	g.RRIP.Evict(set, way)
+	g.state[set*g.ways+way] = StateE0
 }
 
 // StorageOverheadBits reports the bookkeeping overhead in bits beyond a

@@ -66,7 +66,7 @@ func TestVariantNames(t *testing.T) {
 func TestDefaultParamsApplied(t *testing.T) {
 	g := New(Params{Variant: VariantGSPC})
 	p := g.Params()
-	if p.T != 8 || p.Banks != 4 || p.RRIPBits != 2 || p.ProdConsHi != 16 || p.ProdConsLo != 8 {
+	if p.T != 8 || p.Banks != 4 || p.ProdConsHi != 16 || p.ProdConsLo != 8 {
 		t.Errorf("defaults not applied: %+v", p)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"gspc/internal/analysis"
 	"gspc/internal/cachesim"
-	"gspc/internal/core"
 	"gspc/internal/policy"
 	"gspc/internal/rendercache"
 	"gspc/internal/stream"
@@ -355,18 +354,15 @@ func acquireFrame(ctx context.Context, o Options, j workload.FrameJob) (*stream.
 }
 
 // resetRunCounters marks the warmup/measured boundary: outcome counters
-// on the cache, the analysis tracker, and the extractable policy
-// counters are zeroed while cache contents and learned policy state
-// carry over.
+// on the cache, the analysis tracker, and DRRIP's per-kind fill counters
+// (the only policy counters a replay reads, for Fig. 8) are zeroed while
+// cache contents and learned policy state carry over.
 func resetRunCounters(c *cachesim.Cache, tk *analysis.Tracker, pol cachesim.Policy) {
 	c.ResetCounters()
 	if tk != nil {
 		tk.ResetCounters()
 	}
-	switch p := pol.(type) {
-	case *core.Policy:
-		p.Insertions = core.InsertionStats{}
-	case *policy.DRRIP:
+	if p, ok := pol.(*policy.DRRIP); ok {
 		p.FillsByKind = [stream.NumKinds]int64{}
 		p.DistantFillsByKind = [stream.NumKinds]int64{}
 	}

@@ -9,16 +9,12 @@ import (
 // 1.1.1 of the paper): a set duel between traditional LRU insertion (new
 // blocks enter at MRU) and bimodal insertion (new blocks enter at LRU,
 // except one in every bipEpsilon fills). Hits always promote to MRU and
-// the LRU block is always the victim. DIP predates RRIP and is included
-// as an extension baseline.
+// the LRU block is always the victim, as in LRU, which DIP extends. DIP
+// predates RRIP and is included as an extension baseline.
 type DIP struct {
-	ways  int
-	clock uint64
-	stamp []uint64
-	// lip marks blocks inserted at the LRU position; they carry the
-	// minimum stamp so they are the next victim unless promoted.
-	fills uint64
-	psel  int
+	LRU
+	psel duel
+	bip  throttle
 }
 
 var _ cachesim.Policy = (*DIP)(nil)
@@ -31,17 +27,10 @@ func (p *DIP) Name() string { return "DIP" }
 
 // Reset implements cachesim.Policy.
 func (p *DIP) Reset(sets, ways int) {
-	p.ways = ways
+	p.LRU.Reset(sets, ways)
 	p.clock = 1
-	p.stamp = make([]uint64, sets*ways)
-	p.fills = 0
-	p.psel = 1<<(pselBits-1) - 1
-}
-
-// Hit implements cachesim.Policy: promote to MRU.
-func (p *DIP) Hit(set, way int, a stream.Access) {
-	p.clock++
-	p.stamp[set*p.ways+way] = p.clock
+	p.psel.reset()
+	p.bip = 0
 }
 
 // dipLeader reuses the DRRIP constituency scheme: residue 0 leads for
@@ -50,71 +39,17 @@ func dipLeader(set int) int { return drripLeader(set) }
 
 // Fill implements cachesim.Policy.
 func (p *DIP) Fill(set, way int, a stream.Access) {
-	leader := dipLeader(set)
-	switch leader {
-	case leaderSRRIP: // MRU-insertion leader
-		if p.psel < 1<<pselBits-1 {
-			p.psel++
-		}
-	case leaderBRRIP: // BIP leader
-		if p.psel > 0 {
-			p.psel--
-		}
+	if p.psel.bimodal(dipLeader(set)) && !p.bip.near() {
+		// LRU-position insertion: a stamp strictly older than every
+		// valid block's in the set (one below the minimum, floored at
+		// zero; stamps are unique and positive, so 0 never collides with
+		// a live MRU stamp).
+		_, oldest := p.oldest(set)
+		p.stamp[set*p.ways+way] = max(oldest, 1) - 1
+		return
 	}
-	useBIP := false
-	switch leader {
-	case leaderSRRIP:
-		useBIP = false
-	case leaderBRRIP:
-		useBIP = true
-	default:
-		useBIP = p.psel >= 1<<(pselBits-1)
-	}
-	i := set*p.ways + way
-	if useBIP {
-		p.fills++
-		if p.fills%bipEpsilon != 0 {
-			// LRU-position insertion: oldest possible stamp. Find the
-			// current minimum and go below it (stamps are unique and
-			// positive, so 0 never collides with a live MRU stamp).
-			p.stamp[i] = p.minStamp(set)
-			return
-		}
-	}
-	p.clock++
-	p.stamp[i] = p.clock
+	p.touch(set, way)
 }
-
-// minStamp returns a stamp strictly older than every valid block's in
-// the set (half the minimum, floored at zero).
-func (p *DIP) minStamp(set int) uint64 {
-	base := set * p.ways
-	min := p.stamp[base]
-	for w := 1; w < p.ways; w++ {
-		if s := p.stamp[base+w]; s < min {
-			min = s
-		}
-	}
-	if min == 0 {
-		return 0
-	}
-	return min - 1
-}
-
-// Victim implements cachesim.Policy: evict the LRU block.
-func (p *DIP) Victim(set int, a stream.Access) int {
-	base := set * p.ways
-	victim, oldest := 0, p.stamp[base]
-	for w := 1; w < p.ways; w++ {
-		if s := p.stamp[base+w]; s < oldest {
-			victim, oldest = w, s
-		}
-	}
-	return victim
-}
-
-// Evict implements cachesim.Policy.
-func (p *DIP) Evict(set, way int) { p.stamp[set*p.ways+way] = 0 }
 
 // PSEL exposes the duel selector for tests.
-func (p *DIP) PSEL() int { return p.psel }
+func (p *DIP) PSEL() int { return int(p.psel) }

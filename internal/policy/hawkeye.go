@@ -15,7 +15,7 @@ import (
 // streams insert protected, OPT-averse streams insert distant; victims
 // prefer averse blocks.
 type Hawkeye struct {
-	rripBase
+	RRIP
 	sets int
 
 	// Per-stream training counters (positive = cache-friendly).
@@ -90,9 +90,7 @@ func (g *optgen) access(bn uint64, k stream.Kind, expired func(stream.Kind)) (tr
 
 // NewHawkeye returns a stream-trained Hawkeye policy with a 2-bit RRPV.
 func NewHawkeye() *Hawkeye {
-	p := &Hawkeye{}
-	p.init(2)
-	return p
+	return &Hawkeye{RRIP: NewRRIP(2)}
 }
 
 // Name implements cachesim.Policy.
@@ -100,7 +98,7 @@ func (p *Hawkeye) Name() string { return "Hawkeye" }
 
 // Reset implements cachesim.Policy.
 func (p *Hawkeye) Reset(sets, ways int) {
-	p.reset(sets, ways)
+	p.RRIP.Reset(sets, ways)
 	p.sets = sets
 	p.train = [stream.NumKinds]int{}
 	p.gens = make(map[int]*optgen)
@@ -138,15 +136,9 @@ func (p *Hawkeye) sample(set int, a stream.Access) {
 // cache-friendly; exported for tests.
 func (p *Hawkeye) Friendly(k stream.Kind) bool { return p.train[k] >= 0 }
 
-// Hit implements cachesim.Policy.
-func (p *Hawkeye) Hit(set, way int, a stream.Access) {
-	p.sample(set, a)
-	if p.Friendly(a.Kind) {
-		p.rrpv[set*p.ways+way] = 0
-	} else {
-		p.rrpv[set*p.ways+way] = p.max
-	}
-}
+// Hit implements cachesim.Policy: a hit trains and re-predicts the block
+// exactly as a fill does.
+func (p *Hawkeye) Hit(set, way int, a stream.Access) { p.Fill(set, way, a) }
 
 // Fill implements cachesim.Policy.
 func (p *Hawkeye) Fill(set, way int, a stream.Access) {
@@ -155,11 +147,5 @@ func (p *Hawkeye) Fill(set, way int, a stream.Access) {
 	if p.Friendly(a.Kind) {
 		v = 0
 	}
-	p.insert(set, way, v, a.Kind)
+	p.SetRRPV(set, way, v)
 }
-
-// Victim implements cachesim.Policy.
-func (p *Hawkeye) Victim(set int, a stream.Access) int { return p.victim(set) }
-
-// Evict implements cachesim.Policy.
-func (p *Hawkeye) Evict(set, way int) { p.rrpv[set*p.ways+way] = p.max }

@@ -1,5 +1,5 @@
 // Package policy implements the baseline LLC replacement policies the
-// paper evaluates against: LRU, NRU, SRRIP, BRRIP, DRRIP, the graphics
+// paper evaluates against: LRU, NRU, SRRIP, DRRIP, the graphics
 // stream-aware GS-DRRIP, SHiP-mem, and a deterministic random policy.
 // The paper's own proposals (GSPZTC, GSPZTC+TSE, GSPC) live in
 // internal/core.
@@ -42,14 +42,21 @@ func (p *LRU) Fill(set, way int, a stream.Access) { p.touch(set, way) }
 
 // Victim implements cachesim.Policy.
 func (p *LRU) Victim(set int, a stream.Access) int {
+	victim, _ := p.oldest(set)
+	return victim
+}
+
+// oldest returns the way of a set with the oldest stamp, the lowest such
+// way on a tie, and that stamp.
+func (p *LRU) oldest(set int) (way int, stamp uint64) {
 	base := set * p.ways
-	victim, oldest := 0, p.stamp[base]
+	stamp = p.stamp[base]
 	for w := 1; w < p.ways; w++ {
-		if s := p.stamp[base+w]; s < oldest {
-			victim, oldest = w, s
+		if s := p.stamp[base+w]; s < stamp {
+			way, stamp = w, s
 		}
 	}
-	return victim
+	return way, stamp
 }
 
 // Evict implements cachesim.Policy.

@@ -153,13 +153,15 @@ func TestRRIPWidthValidation(t *testing.T) {
 	NewSRRIP(0)
 }
 
+// TestBRRIPMostlyDistant: DRRIP's BRRIP leader set inserts with the
+// distant RRPV except for one fill in every bipEpsilon.
 func TestBRRIPMostlyDistant(t *testing.T) {
-	p := NewBRRIP(2)
-	p.Reset(1, 8)
+	p := NewDRRIP(2)
+	p.Reset(64, 8)
 	distant, long := 0, 0
 	for i := 0; i < bipEpsilon*4; i++ {
-		p.Fill(0, i%8, stream.Access{Kind: stream.Z})
-		if p.RRPV(0, i%8) == 3 {
+		p.Fill(33, i%8, stream.Access{Kind: stream.Z})
+		if p.RRPV(33, i%8) == 3 {
 			distant++
 		} else {
 			long++
@@ -379,7 +381,7 @@ func TestRandomVictimInRange(t *testing.T) {
 func TestPoliciesFuzz(t *testing.T) {
 	mkPolicies := func() []cachesim.Policy {
 		return []cachesim.Policy{
-			NewLRU(), NewNRU(), NewRandom(3), NewSRRIP(2), NewBRRIP(2),
+			NewLRU(), NewNRU(), NewRandom(3), NewSRRIP(2),
 			NewDRRIP(2), NewDRRIP(4), NewGSDRRIP(2), NewSHiPMem(2),
 		}
 	}

@@ -7,204 +7,187 @@ import (
 	"gspc/internal/stream"
 )
 
-// bipEpsilon is the BRRIP long-insertion ratio: one in every bipEpsilon
-// fills is inserted with a long re-reference interval (RRPV max-1)
-// instead of a distant one (RRPV max). The value 32 follows Jaleel et
-// al. [19]. The choice is made with a deterministic fill counter so runs
-// are reproducible.
+// bipEpsilon is the bimodal insertion ratio: one in every bipEpsilon
+// bimodal fills is inserted nearer (RRPV max-1 for BRRIP, MRU for DIP's
+// BIP) instead of farther. The value 32 follows Jaleel et al. [19]. The
+// choice is made with a deterministic fill counter so runs are
+// reproducible.
 const bipEpsilon = 32
 
-// pselBits sizes the set-dueling selector counters of DRRIP/GS-DRRIP.
+// pselBits sizes the set-dueling selector counters of DRRIP, GS-DRRIP
+// and DIP.
 const pselBits = 10
 
-// rripBase holds the state shared by all re-reference interval prediction
-// policies: an n-bit RRPV per block, the aging victim scan, and per-stream
-// fill accounting (used by Fig. 8).
-type rripBase struct {
+// RRIP is the state every re-reference interval prediction policy
+// shares: an n-bit RRPV per block, hit promotion to zero (RRIP-HP), the
+// aging victim scan and eviction to the distant RRPV. SRRIP, DRRIP,
+// GS-DRRIP, SHiP-mem, Hawkeye and the GSPC family (internal/core) embed
+// it, so its Victim is the only RRIP aging loop; each policy chooses the
+// RRPVs its fills install, and Hawkeye and the GSPC family also those
+// of their hits.
+type RRIP struct {
 	bits int
 	max  uint8
 	ways int
 	rrpv []uint8
-
-	// FillsByKind and DistantFillsByKind count fills per stream kind,
-	// total and with insertion RRPV == max ("no near-future reuse").
-	// Figure 8 reports DistantFills/Fills for the RT and texture streams
-	// under DRRIP.
-	FillsByKind        [stream.NumKinds]int64
-	DistantFillsByKind [stream.NumKinds]int64
 }
 
-func (b *rripBase) init(bits int) {
+// NewRRIP returns RRIP state with an n-bit RRPV, for embedding; Reset
+// sizes it.
+func NewRRIP(bits int) RRIP {
 	if bits < 1 || bits > 8 {
 		panic(fmt.Sprintf("policy: rrip width %d out of range", bits))
 	}
-	b.bits = bits
-	b.max = uint8(1<<bits - 1)
+	return RRIP{bits: bits, max: uint8(1<<bits - 1)}
 }
 
-func (b *rripBase) reset(sets, ways int) {
-	b.ways = ways
-	b.rrpv = make([]uint8, sets*ways)
-	for i := range b.rrpv {
-		b.rrpv[i] = b.max
-	}
-	b.FillsByKind = [stream.NumKinds]int64{}
-	b.DistantFillsByKind = [stream.NumKinds]int64{}
-}
-
-// insert installs rrpv for a filled block and records fill accounting.
-func (b *rripBase) insert(set, way int, v uint8, k stream.Kind) {
-	b.rrpv[set*b.ways+way] = v
-	b.FillsByKind[k]++
-	if v == b.max {
-		b.DistantFillsByKind[k]++
+// Reset implements cachesim.Policy: every block starts at the distant
+// RRPV.
+func (r *RRIP) Reset(sets, ways int) {
+	r.ways = ways
+	r.rrpv = make([]uint8, sets*ways)
+	for i := range r.rrpv {
+		r.rrpv[i] = r.max
 	}
 }
 
-// promote implements hit promotion (RRIP-HP): RRPV becomes zero.
-func (b *rripBase) promote(set, way int) { b.rrpv[set*b.ways+way] = 0 }
+// Hit implements cachesim.Policy: hit promotion (RRIP-HP) sets the RRPV
+// to zero.
+func (r *RRIP) Hit(set, way int, _ stream.Access) { r.rrpv[set*r.ways+way] = 0 }
 
-// victim finds a block with RRPV == max, aging the whole set in unit
-// steps until one exists. Ties break toward the minimum physical way id,
-// as in the paper.
-func (b *rripBase) victim(set int) int {
-	base := set * b.ways
+// Victim implements cachesim.Policy: it finds a block with RRPV == max,
+// aging the whole set in unit steps until one exists. Ties break toward
+// the minimum physical way id, as in the paper.
+func (r *RRIP) Victim(set int, _ stream.Access) int {
+	base := set * r.ways
 	for {
-		for w := 0; w < b.ways; w++ {
-			if b.rrpv[base+w] == b.max {
+		for w := 0; w < r.ways; w++ {
+			if r.rrpv[base+w] == r.max {
 				return w
 			}
 		}
-		for w := 0; w < b.ways; w++ {
-			b.rrpv[base+w]++
+		for w := 0; w < r.ways; w++ {
+			r.rrpv[base+w]++
 		}
 	}
 }
 
+// Evict implements cachesim.Policy: the freed way holds the distant
+// RRPV until its fill sets one.
+func (r *RRIP) Evict(set, way int) { r.rrpv[set*r.ways+way] = r.max }
+
+// SetRRPV installs the re-reference prediction value of a block.
+func (r *RRIP) SetRRPV(set, way int, v uint8) { r.rrpv[set*r.ways+way] = v }
+
 // RRPV exposes the current re-reference prediction value of a block, for
 // tests and analysis observers.
-func (b *rripBase) RRPV(set, way int) uint8 { return b.rrpv[set*b.ways+way] }
+func (r *RRIP) RRPV(set, way int) uint8 { return r.rrpv[set*r.ways+way] }
 
 // MaxRRPV returns 2^n - 1 for the configured width.
-func (b *rripBase) MaxRRPV() uint8 { return b.max }
+func (r *RRIP) MaxRRPV() uint8 { return r.max }
 
 // SRRIP is static re-reference interval prediction: every fill is
 // inserted with RRPV 2^n-2 (long), hits promote to 0, and blocks with
 // RRPV 2^n-1 are victimized. The LLC sample sets of the GSPC family run
 // exactly this policy.
 type SRRIP struct {
-	rripBase
+	RRIP
 }
 
 var _ cachesim.Policy = (*SRRIP)(nil)
 
 // NewSRRIP returns an SRRIP policy with an n-bit RRPV (the paper uses 2).
-func NewSRRIP(bits int) *SRRIP {
-	p := &SRRIP{}
-	p.init(bits)
-	return p
-}
+func NewSRRIP(bits int) *SRRIP { return &SRRIP{NewRRIP(bits)} }
 
 // Name implements cachesim.Policy.
 func (p *SRRIP) Name() string { return fmt.Sprintf("SRRIP-%d", p.bits) }
 
-// Reset implements cachesim.Policy.
-func (p *SRRIP) Reset(sets, ways int) { p.reset(sets, ways) }
-
-// Hit implements cachesim.Policy.
-func (p *SRRIP) Hit(set, way int, a stream.Access) { p.promote(set, way) }
-
 // Fill implements cachesim.Policy.
-func (p *SRRIP) Fill(set, way int, a stream.Access) {
-	p.insert(set, way, p.max-1, a.Kind)
-}
+func (p *SRRIP) Fill(set, way int, a stream.Access) { p.SetRRPV(set, way, p.max-1) }
 
-// Victim implements cachesim.Policy.
-func (p *SRRIP) Victim(set int, a stream.Access) int { return p.victim(set) }
+// The teams of a set duel. A leader set of either team always inserts
+// as its team does and moves the selector on each miss; a follower set
+// inserts as the team the selector favours.
+const (
+	leaderNone = iota
+	leaderSRRIP
+	leaderBRRIP
+)
 
-// Evict implements cachesim.Policy.
-func (p *SRRIP) Evict(set, way int) { p.rrpv[set*p.ways+way] = p.max }
+// duel is a set-dueling selector (Qureshi et al. [40]): a saturating
+// pselBits-bit counter that misses in leaderSRRIP sets raise and misses
+// in leaderBRRIP sets lower. DRRIP runs one, GS-DRRIP one per stream
+// group, and DIP one between MRU and bimodal insertion.
+type duel int
 
-// BRRIP is bimodal RRIP: fills are inserted with RRPV 2^n-1 except for
-// one in every bipEpsilon fills, which uses 2^n-2. It is the thrashing-
-// resistant pole of DRRIP's duel.
-type BRRIP struct {
-	rripBase
-	fills uint64
-}
+func (d *duel) reset() { *d = 1<<(pselBits-1) - 1 }
 
-var _ cachesim.Policy = (*BRRIP)(nil)
-
-// NewBRRIP returns a BRRIP policy with an n-bit RRPV.
-func NewBRRIP(bits int) *BRRIP {
-	p := &BRRIP{}
-	p.init(bits)
-	return p
-}
-
-// Name implements cachesim.Policy.
-func (p *BRRIP) Name() string { return fmt.Sprintf("BRRIP-%d", p.bits) }
-
-// Reset implements cachesim.Policy.
-func (p *BRRIP) Reset(sets, ways int) {
-	p.reset(sets, ways)
-	p.fills = 0
-}
-
-// Hit implements cachesim.Policy.
-func (p *BRRIP) Hit(set, way int, a stream.Access) { p.promote(set, way) }
-
-// Fill implements cachesim.Policy.
-func (p *BRRIP) Fill(set, way int, a stream.Access) {
-	p.fills++
-	v := p.max
-	if p.fills%bipEpsilon == 0 {
-		v = p.max - 1
+// bimodal records a miss in a set of the given team and reports whether
+// the fill takes the bimodal team's insertion: the set's own team for a
+// leader, the selector's favourite for a follower.
+func (d *duel) bimodal(team int) bool {
+	switch team {
+	case leaderSRRIP:
+		if *d < 1<<pselBits-1 {
+			*d++
+		}
+		return false
+	case leaderBRRIP:
+		if *d > 0 {
+			*d--
+		}
+		return true
+	default:
+		return *d >= 1<<(pselBits-1)
 	}
-	p.insert(set, way, v, a.Kind)
 }
 
-// Victim implements cachesim.Policy.
-func (p *BRRIP) Victim(set int, a stream.Access) int { return p.victim(set) }
+// throttle is the bimodal insertion counter: it counts the fills that
+// take bimodal insertion, and every bipEpsilon-th of them is inserted
+// nearer.
+type throttle uint64
 
-// Evict implements cachesim.Policy.
-func (p *BRRIP) Evict(set, way int) { p.rrpv[set*p.ways+way] = p.max }
+// near counts a bimodal fill and reports whether it is the one in
+// bipEpsilon inserted nearer.
+func (t *throttle) near() bool {
+	*t++
+	return *t%bipEpsilon == 0
+}
 
 // DRRIP is dynamic RRIP: a set duel between SRRIP insertion (RRPV max-1)
-// and BRRIP insertion decides the policy followed by the remaining sets.
-// One set in every 64 leads for each team; a saturating selector counts
+// and BRRIP insertion (RRPV max, except max-1 for one fill in every
+// bipEpsilon) decides the policy followed by the remaining sets. One
+// set in every 64 leads for each team; a saturating selector counts
 // leader-set misses. This is the paper's baseline policy.
 type DRRIP struct {
-	rripBase
-	fills uint64
-	psel  int
+	RRIP
+	psel duel
+	bip  throttle
+
+	// FillsByKind and DistantFillsByKind count fills per stream kind,
+	// total and with insertion RRPV == max ("no near-future reuse").
+	// Figure 8 reports DistantFills/Fills for the RT and texture streams.
+	FillsByKind        [stream.NumKinds]int64
+	DistantFillsByKind [stream.NumKinds]int64
 }
 
 var _ cachesim.Policy = (*DRRIP)(nil)
 
 // NewDRRIP returns a DRRIP policy with an n-bit RRPV (the baseline uses
 // 2; Fig. 14 also evaluates 4).
-func NewDRRIP(bits int) *DRRIP {
-	p := &DRRIP{}
-	p.init(bits)
-	return p
-}
+func NewDRRIP(bits int) *DRRIP { return &DRRIP{RRIP: NewRRIP(bits)} }
 
 // Name implements cachesim.Policy.
 func (p *DRRIP) Name() string { return fmt.Sprintf("DRRIP-%d", p.bits) }
 
 // Reset implements cachesim.Policy.
 func (p *DRRIP) Reset(sets, ways int) {
-	p.reset(sets, ways)
-	p.fills = 0
-	p.psel = 1<<(pselBits-1) - 1
+	p.RRIP.Reset(sets, ways)
+	p.psel.reset()
+	p.bip = 0
+	p.FillsByKind = [stream.NumKinds]int64{}
+	p.DistantFillsByKind = [stream.NumKinds]int64{}
 }
-
-const (
-	leaderNone = iota
-	leaderSRRIP
-	leaderBRRIP
-)
 
 // drripLeader classifies a set: residue 0 of every 64 sets leads for
 // SRRIP, residue 33 for BRRIP (spread apart so both teams sample the
@@ -220,51 +203,22 @@ func drripLeader(set int) int {
 	}
 }
 
-// Hit implements cachesim.Policy.
-func (p *DRRIP) Hit(set, way int, a stream.Access) { p.promote(set, way) }
-
-// Fill implements cachesim.Policy.
+// Fill implements cachesim.Policy. A fill is a miss: leader-set fills
+// move the selector.
 func (p *DRRIP) Fill(set, way int, a stream.Access) {
-	leader := drripLeader(set)
-	// A fill is a miss: leader-set misses move the selector.
-	switch leader {
-	case leaderSRRIP:
-		if p.psel < 1<<pselBits-1 {
-			p.psel++
-		}
-	case leaderBRRIP:
-		if p.psel > 0 {
-			p.psel--
-		}
-	}
-	useBRRIP := false
-	switch leader {
-	case leaderSRRIP:
-		useBRRIP = false
-	case leaderBRRIP:
-		useBRRIP = true
-	default:
-		useBRRIP = p.psel >= 1<<(pselBits-1)
-	}
 	v := p.max - 1
-	if useBRRIP {
-		p.fills++
+	if p.psel.bimodal(drripLeader(set)) && !p.bip.near() {
 		v = p.max
-		if p.fills%bipEpsilon == 0 {
-			v = p.max - 1
-		}
 	}
-	p.insert(set, way, v, a.Kind)
+	p.SetRRPV(set, way, v)
+	p.FillsByKind[a.Kind]++
+	if v == p.max {
+		p.DistantFillsByKind[a.Kind]++
+	}
 }
 
-// Victim implements cachesim.Policy.
-func (p *DRRIP) Victim(set int, a stream.Access) int { return p.victim(set) }
-
-// Evict implements cachesim.Policy.
-func (p *DRRIP) Evict(set, way int) { p.rrpv[set*p.ways+way] = p.max }
-
 // PSEL exposes the duel selector for tests.
-func (p *DRRIP) PSEL() int { return p.psel }
+func (p *DRRIP) PSEL() int { return int(p.psel) }
 
 // StreamGroup is the four-way partition of the LLC streams used by the
 // stream-aware policies (Section 3): Z, texture sampler, render target,
@@ -311,34 +265,31 @@ func (g StreamGroup) String() string {
 
 // GSDRRIP is graphics stream-aware DRRIP: thread-aware DRRIP [20] applied
 // to the four graphics stream groups, each with its own duel between
-// SRRIP and BRRIP insertion. Residues 2g and 2g+1 of every 64 sets lead
-// for group g's SRRIP and BRRIP teams respectively; fills of other groups
-// in a leader set follow their own group's winner.
+// SRRIP and BRRIP insertion and its own bimodal counter. Residues 2g and
+// 2g+1 of every 64 sets lead for group g's SRRIP and BRRIP teams
+// respectively; fills of other groups in a leader set follow their own
+// group's winner.
 type GSDRRIP struct {
-	rripBase
-	fills [NumStreamGroups]uint64
-	psel  [NumStreamGroups]int
+	RRIP
+	psel [NumStreamGroups]duel
+	bip  [NumStreamGroups]throttle
 }
 
 var _ cachesim.Policy = (*GSDRRIP)(nil)
 
 // NewGSDRRIP returns a GS-DRRIP policy with an n-bit RRPV.
-func NewGSDRRIP(bits int) *GSDRRIP {
-	p := &GSDRRIP{}
-	p.init(bits)
-	return p
-}
+func NewGSDRRIP(bits int) *GSDRRIP { return &GSDRRIP{RRIP: NewRRIP(bits)} }
 
 // Name implements cachesim.Policy.
 func (p *GSDRRIP) Name() string { return fmt.Sprintf("GS-DRRIP-%d", p.bits) }
 
 // Reset implements cachesim.Policy.
 func (p *GSDRRIP) Reset(sets, ways int) {
-	p.reset(sets, ways)
+	p.RRIP.Reset(sets, ways)
 	for g := range p.psel {
-		p.psel[g] = 1<<(pselBits-1) - 1
-		p.fills[g] = 0
+		p.psel[g].reset()
 	}
+	p.bip = [NumStreamGroups]throttle{}
 }
 
 // gsLeader reports which group the set leads for and on which team;
@@ -352,45 +303,34 @@ func gsLeader(set int) (StreamGroup, int) {
 	return 0, leaderNone
 }
 
-// Hit implements cachesim.Policy.
-func (p *GSDRRIP) Hit(set, way int, a stream.Access) { p.promote(set, way) }
-
 // Fill implements cachesim.Policy.
 func (p *GSDRRIP) Fill(set, way int, a stream.Access) {
 	g := GroupOf(a.Kind)
-	lg, team := gsLeader(set)
-	if team != leaderNone && lg == g {
-		switch team {
-		case leaderSRRIP:
-			if p.psel[g] < 1<<pselBits-1 {
-				p.psel[g]++
-			}
-		case leaderBRRIP:
-			if p.psel[g] > 0 {
-				p.psel[g]--
-			}
-		}
-	}
-	useBRRIP := p.psel[g] >= 1<<(pselBits-1)
-	if team != leaderNone && lg == g {
-		useBRRIP = team == leaderBRRIP
+	team := leaderNone
+	if lg, t := gsLeader(set); lg == g {
+		team = t
 	}
 	v := p.max - 1
-	if useBRRIP {
-		p.fills[g]++
+	if p.psel[g].bimodal(team) && !p.bip[g].near() {
 		v = p.max
-		if p.fills[g]%bipEpsilon == 0 {
-			v = p.max - 1
-		}
 	}
-	p.insert(set, way, v, a.Kind)
+	p.SetRRPV(set, way, v)
 }
 
-// Victim implements cachesim.Policy.
-func (p *GSDRRIP) Victim(set int, a stream.Access) int { return p.victim(set) }
-
-// Evict implements cachesim.Policy.
-func (p *GSDRRIP) Evict(set, way int) { p.rrpv[set*p.ways+way] = p.max }
-
 // PSELFor exposes the duel selector of a stream group for tests.
-func (p *GSDRRIP) PSELFor(g StreamGroup) int { return p.psel[g] }
+func (p *GSDRRIP) PSELFor(g StreamGroup) int { return int(p.psel[g]) }
+
+// BankOf returns the owning LLC bank of each of sets sets when banks
+// banks own equal contiguous runs of sets, the last one also the
+// remainder; with fewer sets than banks, bank 0 owns them all. Policies
+// with per-bank state (SHiP-mem's tables, the GSPC family's counters)
+// compute it once in Reset, so Hit and Fill divide nothing.
+func BankOf(sets, banks int) []int32 {
+	bank := make([]int32, sets)
+	if per := sets / banks; per > 0 {
+		for s := range bank {
+			bank[s] = int32(min(s/per, banks-1))
+		}
+	}
+	return bank
+}

@@ -25,9 +25,9 @@ const (
 // evictions decrement it, and fills of regions whose counter is zero are
 // inserted with a distant re-reference prediction.
 type SHiPMem struct {
-	rripBase
+	RRIP
 	banks   int
-	bankOf  []int32   // per set, computed in Reset
+	bankOf  []int32   // per set, from BankOf in Reset
 	shct    [][]uint8 // [bank][signature]
 	sig     []uint16  // per block
 	reused  []bool    // per block
@@ -42,9 +42,7 @@ func NewSHiPMem(banks int) *SHiPMem {
 	if banks < 1 {
 		banks = 1
 	}
-	p := &SHiPMem{banks: banks}
-	p.init(2)
-	return p
+	return &SHiPMem{RRIP: NewRRIP(2), banks: banks}
 }
 
 // Name implements cachesim.Policy.
@@ -52,15 +50,8 @@ func (p *SHiPMem) Name() string { return "SHiP-mem" }
 
 // Reset implements cachesim.Policy.
 func (p *SHiPMem) Reset(sets, ways int) {
-	p.reset(sets, ways)
-	// Banks own equal contiguous runs of sets, the last one also the
-	// remainder; with fewer sets than banks, bank 0 owns them all.
-	p.bankOf = make([]int32, sets)
-	if per := sets / p.banks; per > 0 {
-		for s := range p.bankOf {
-			p.bankOf[s] = int32(min(s/per, p.banks-1))
-		}
-	}
+	p.RRIP.Reset(sets, ways)
+	p.bankOf = BankOf(sets, p.banks)
 	p.shct = make([][]uint8, p.banks)
 	for b := range p.shct {
 		t := make([]uint8, shipTableSize)
@@ -81,7 +72,7 @@ func signature(addr uint64) uint16 {
 
 // Hit implements cachesim.Policy.
 func (p *SHiPMem) Hit(set, way int, a stream.Access) {
-	p.promote(set, way)
+	p.RRIP.Hit(set, way, a)
 	i := set*p.ways + way
 	if p.present[i] {
 		p.reused[i] = true
@@ -103,11 +94,8 @@ func (p *SHiPMem) Fill(set, way int, a stream.Access) {
 	if p.shct[p.bankOf[set]][sig] == 0 {
 		v = p.max
 	}
-	p.insert(set, way, v, a.Kind)
+	p.SetRRPV(set, way, v)
 }
-
-// Victim implements cachesim.Policy.
-func (p *SHiPMem) Victim(set int, a stream.Access) int { return p.victim(set) }
 
 // Evict implements cachesim.Policy.
 func (p *SHiPMem) Evict(set, way int) {
@@ -119,7 +107,7 @@ func (p *SHiPMem) Evict(set, way int) {
 		}
 	}
 	p.present[i] = false
-	p.rrpv[i] = p.max
+	p.RRIP.Evict(set, way)
 }
 
 // CounterFor exposes the learned counter for an address, for tests.
