@@ -7,7 +7,7 @@
 // cache policies (internal/core) — together with every substrate needed
 // to evaluate it: a set-associative cache simulator with pluggable
 // policies (internal/cachesim), the baseline policies NRU, LRU, SRRIP,
-// BRRIP, DRRIP, GS-DRRIP and SHiP-mem (internal/policy), Belady's
+// DRRIP, GS-DRRIP and SHiP-mem (internal/policy), Belady's
 // optimal policy (internal/belady), a Direct3D-style rendering pipeline
 // and render-cache complex that synthesize the 52-frame DirectX workload
 // suite (internal/pipeline, internal/rendercache, internal/workload), a
