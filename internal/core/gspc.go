@@ -160,19 +160,18 @@ type Policy struct {
 	sample []bool
 	bankOf []int32
 
-	// Insertions counts non-sample fill decisions; exported for the
-	// analysis harness and tests (e.g. a Fig. 8 analogue for GSPC).
+	// Insertions counts non-sample fill decisions; exported for
+	// gspcdiag, examples/tuning and tests (a Fig. 8 analogue for GSPC).
 	Insertions InsertionStats
 }
 
 // InsertionStats tallies the insertion RRPVs chosen for non-sample fills
 // of each managed stream class.
 type InsertionStats struct {
-	ZDistant, ZLong           int64
-	TexDistant, TexZero       int64
-	RTDistant, RTLong         int64
-	RTZero                    int64
-	TexHitDistant, TexHitZero int64 // epoch-1 decisions on texture hits
+	ZDistant, ZLong     int64
+	TexDistant, TexZero int64
+	RTDistant, RTLong   int64
+	RTZero              int64
 }
 
 var _ cachesim.Policy = (*Policy)(nil)

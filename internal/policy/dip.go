@@ -28,7 +28,6 @@ func (p *DIP) Name() string { return "DIP" }
 // Reset implements cachesim.Policy.
 func (p *DIP) Reset(sets, ways int) {
 	p.LRU.Reset(sets, ways)
-	p.clock = 1
 	p.psel.reset()
 	p.bip = 0
 }
@@ -40,12 +39,8 @@ func dipLeader(set int) int { return drripLeader(set) }
 // Fill implements cachesim.Policy.
 func (p *DIP) Fill(set, way int, a stream.Access) {
 	if p.psel.bimodal(dipLeader(set)) && !p.bip.near() {
-		// LRU-position insertion: a stamp strictly older than every
-		// valid block's in the set (one below the minimum, floored at
-		// zero; stamps are unique and positive, so 0 never collides with
-		// a live MRU stamp).
-		_, oldest := p.oldest(set)
-		p.stamp[set*p.ways+way] = max(oldest, 1) - 1
+		// LRU-position insertion: 0 is the oldest stamp.
+		p.stamp[set*p.ways+way] = 0
 		return
 	}
 	p.touch(set, way)

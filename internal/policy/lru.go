@@ -42,21 +42,14 @@ func (p *LRU) Fill(set, way int, a stream.Access) { p.touch(set, way) }
 
 // Victim implements cachesim.Policy.
 func (p *LRU) Victim(set int, a stream.Access) int {
-	victim, _ := p.oldest(set)
-	return victim
-}
-
-// oldest returns the way of a set with the oldest stamp, the lowest such
-// way on a tie, and that stamp.
-func (p *LRU) oldest(set int) (way int, stamp uint64) {
 	base := set * p.ways
-	stamp = p.stamp[base]
+	victim, oldest := 0, p.stamp[base]
 	for w := 1; w < p.ways; w++ {
-		if s := p.stamp[base+w]; s < stamp {
-			way, stamp = w, s
+		if s := p.stamp[base+w]; s < oldest {
+			victim, oldest = w, s
 		}
 	}
-	return way, stamp
+	return victim
 }
 
 // Evict implements cachesim.Policy.
