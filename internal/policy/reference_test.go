@@ -3,6 +3,7 @@ package policy
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -321,5 +322,111 @@ func TestGSDRRIPMatchesReference(t *testing.T) {
 		if c[0] == 0 || c[1] == 0 {
 			t.Errorf("group %d selector crossed its midpoint %d times toward BRRIP and %d toward SRRIP; want both", g, c[0], c[1])
 		}
+	}
+}
+
+// refNRU is a naive reference model of an NRU-managed cache, written
+// from Figure 1 of the paper: one reference bit per way. A hit or fill
+// sets its way's bit and, when every bit of the set is then set, clears
+// all the others. A fill into a full set replaces the lowest way whose
+// bit is clear; when none is, every bit is cleared and way 0 goes.
+type refNRU struct {
+	sets int
+	tags [][]uint64 // per set, the resident blocks by way
+	ref  [][]bool   // per set, one bit per way
+	// allSet counts the misses that found every bit set, for the test's
+	// coverage check.
+	allSet int
+}
+
+func newRefNRU(sets, ways int) *refNRU {
+	r := &refNRU{sets: sets, tags: make([][]uint64, sets), ref: make([][]bool, sets)}
+	for s := range r.ref {
+		r.ref[s] = make([]bool, ways)
+	}
+	return r
+}
+
+// access returns whether block bn hit, the block it evicted and whether
+// it evicted one.
+func (r *refNRU) access(bn uint64) (hit bool, evicted uint64, evicts bool) {
+	set := int(bn % uint64(r.sets))
+	tags, ref := r.tags[set], r.ref[set]
+	way := slices.Index(tags, bn)
+	switch {
+	case way >= 0:
+		hit = true
+	case len(tags) < len(ref):
+		way = len(tags)
+		r.tags[set] = append(tags, bn)
+	default:
+		way = slices.Index(ref, false)
+		if way < 0 {
+			clear(ref)
+			way = 0
+			r.allSet++
+		}
+		evicted, evicts = tags[way], true
+		tags[way] = bn
+	}
+	ref[way] = true
+	if !slices.Contains(ref, false) {
+		clear(ref)
+		ref[way] = true
+	}
+	return hit, evicted, evicts
+}
+
+// nruTrace is a random trace of block numbers for 1 to 64 sets of 1 to
+// 16 ways, in phases whose block pools run from hitting to thrashing.
+type nruTrace struct {
+	Sets, Ways int
+	Blocks     []uint64
+}
+
+// Generate implements quick.Generator.
+func (nruTrace) Generate(r *rand.Rand, size int) reflect.Value {
+	tr := nruTrace{Sets: 1 + r.Intn(64), Ways: 1 + r.Intn(16)}
+	for range 1 + r.Intn(4) {
+		pool := 1 + r.Intn(3*tr.Sets*tr.Ways)
+		for range 100 + r.Intn(900) {
+			tr.Blocks = append(tr.Blocks, uint64(r.Intn(pool)))
+		}
+	}
+	return reflect.ValueOf(tr)
+}
+
+// TestNRUMatchesReference demands the same hit or miss and the same
+// evicted block (from the cache's EvEvict event) as refNRU on every
+// access. One-way sets keep their lone bit set, so there every miss
+// takes the all-set fallback; the test demands that it ran.
+func TestNRUMatchesReference(t *testing.T) {
+	allSet := 0
+	f := func(tr nruTrace) bool {
+		c := cachesim.New(cachesim.Geometry{SizeBytes: tr.Sets * tr.Ways * 64, Ways: tr.Ways, BlockSize: 64}, NewNRU())
+		var evicted uint64
+		var evicts bool
+		c.AddObserver(cachesim.ObserverFunc(func(ev cachesim.Event) {
+			if ev.Type == cachesim.EvEvict {
+				evicted, evicts = ev.Tag, true
+			}
+		}))
+		ref := newRefNRU(tr.Sets, tr.Ways)
+		defer func() { allSet += ref.allSet }()
+		for _, bn := range tr.Blocks {
+			evicts = false
+			hit := c.Access(stream.Access{Addr: bn << 6})
+			refHit, refEvicted, refEvicts := ref.access(bn)
+			if hit != refHit || evicts != refEvicts || evicts && evicted != refEvicted {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if allSet == 0 {
+		t.Error("no miss found every reference bit set")
 	}
 }
