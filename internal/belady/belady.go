@@ -105,6 +105,3 @@ func (p *OPT) Victim(set int, a stream.Access) int {
 	}
 	return victim
 }
-
-// Evict implements cachesim.Policy.
-func (p *OPT) Evict(set, way int) { p.due[set*p.ways+way] = Never }

@@ -88,7 +88,10 @@ func ParseSize(s string) (int, error) {
 // Policy is a replacement policy attached to a Cache. The cache owns tags,
 // validity, and dirty bits; the policy owns all replacement state, which
 // it allocates in Reset. All callbacks receive the access that triggered
-// them so stream-aware policies can key on the stream kind.
+// them so stream-aware policies can key on the stream kind. A miss into
+// a full set calls Victim and then Fill on the way Victim chose: that
+// Fill replaces the way's block, so a policy that learns from the
+// blocks it evicts does so there, from the state the way still holds.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -97,15 +100,14 @@ type Policy interface {
 	Reset(sets, ways int)
 	// Hit is invoked when access a hits the block at (set, way).
 	Hit(set, way int, a stream.Access)
-	// Fill is invoked after a missing block is installed at (set, way).
+	// Fill is invoked after a missing block is installed at (set, way),
+	// which is either a way no block has held since Reset or the way
+	// Victim just chose.
 	Fill(set, way int, a stream.Access)
 	// Victim selects the way to evict from a full set to make room for
 	// access a. Returning a negative way bypasses the fill: the access is
 	// counted as a miss and nothing is installed.
 	Victim(set int, a stream.Access) int
-	// Evict is invoked when the valid block at (set, way) is removed,
-	// before the replacement block (if any) is installed.
-	Evict(set, way int)
 }
 
 // EventType discriminates observer events.
@@ -455,7 +457,6 @@ func (c *Cache) Access(a stream.Access) bool {
 				})
 			}
 		}
-		c.policy.Evict(set, way)
 		if len(c.observers) != 0 {
 			c.notify(Event{Type: EvEvict, Access: a, Set: set, Way: way, Tag: victim, Dirty: dirty})
 		}

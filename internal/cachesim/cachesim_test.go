@@ -27,7 +27,6 @@ func (p *fifoPolicy) Victim(set int, a stream.Access) int {
 	p.next[set] = (w + 1) % p.ways
 	return w
 }
-func (p *fifoPolicy) Evict(set, way int) {}
 
 func smallCache() *Cache {
 	return New(Geometry{SizeBytes: 4 * 64 * 2, Ways: 2, BlockSize: 64}, &fifoPolicy{}) // 4 sets, 2 ways

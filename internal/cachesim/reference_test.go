@@ -196,7 +196,6 @@ func (p *lruPolicy) Victim(set int, a stream.Access) int {
 	}
 	return v
 }
-func (p *lruPolicy) Evict(set, way int) { p.stamp[set*p.ways+way] = 0 }
 
 // TestAgainstReferenceModel replays random traces, plain and
 // repeat-heavy, through both models on a full and a set-sampled cache,

@@ -374,6 +374,10 @@ func (g *Policy) Fill(set, way int, a stream.Access) {
 			g.Insertions.RTZero++
 		}
 	}
+	// Every fill, sample or not, writes the state afresh, so the RT or
+	// epoch state of the block it replaces goes with that block: the
+	// paper resets the RT bit on LLC eviction because only in-LLC
+	// render-target-to-texture reuses are of interest.
 	g.state[i] = st
 	g.SetRRPV(set, way, v)
 }
@@ -393,14 +397,6 @@ func (g *Policy) sampleFill(set, i int, a stream.Access) {
 			sat(&c.Prod)
 		}
 	}
-}
-
-// Evict implements cachesim.Policy. Eviction resets the RT/epoch state:
-// the paper's RT bit is reset on LLC eviction because only in-LLC
-// render-target-to-texture reuses are of interest.
-func (g *Policy) Evict(set, way int) {
-	g.RRIP.Evict(set, way)
-	g.state[set*g.ways+way] = StateE0
 }
 
 // StorageOverheadBits reports the bookkeeping overhead in bits beyond a

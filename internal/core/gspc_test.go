@@ -361,15 +361,16 @@ func TestVictimAgingAndTieBreak(t *testing.T) {
 	}
 }
 
-func TestEvictResetsState(t *testing.T) {
-	g := newTestPolicy(VariantGSPC)
-	g.Fill(nonSampleSet, 0, rtAcc())
-	g.Evict(nonSampleSet, 0)
-	if g.StateOf(nonSampleSet, 0) != StateE0 {
-		t.Error("eviction must reset the RT/epoch state")
-	}
-	if g.RRPV(nonSampleSet, 0) != 3 {
-		t.Error("eviction must reset RRPV to distant")
+// A fill over a render target leaves no RT state behind: the paper
+// resets the RT bit on LLC eviction.
+func TestFillOverRTResetsState(t *testing.T) {
+	for _, set := range []int{sampleSet, nonSampleSet} {
+		g := newTestPolicy(VariantGSPC)
+		g.Fill(set, 0, rtAcc())
+		g.Fill(set, 0, zAcc())
+		if g.StateOf(set, 0) != StateE0 {
+			t.Errorf("set %d: a Z fill over a render target left state %d, want E0", set, g.StateOf(set, 0))
+		}
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // learns the block's final count. A block whose count exceeds its
 // stream's learned threshold is predicted dead and victimized first.
 type CounterDBP struct {
-	ways int
+	// LRU breaks ties among equally (un)dead blocks.
+	LRU
 	// cnt is the per-block access count since fill.
 	cnt []uint8
 	// kind remembers the filling stream of each block.
@@ -21,9 +22,6 @@ type CounterDBP struct {
 	// avgX4 is the exponentially averaged final access count per stream,
 	// fixed-point with 2 fraction bits.
 	avgX4 [stream.NumKinds]int
-	// stamp provides LRU tie-breaking among equally-(un)dead blocks.
-	clock uint64
-	stamp []uint64
 }
 
 var _ cachesim.Policy = (*CounterDBP)(nil)
@@ -36,33 +34,36 @@ func (p *CounterDBP) Name() string { return "CounterDBP" }
 
 // Reset implements cachesim.Policy.
 func (p *CounterDBP) Reset(sets, ways int) {
-	p.ways = ways
+	p.LRU.Reset(sets, ways)
 	n := sets * ways
 	p.cnt = make([]uint8, n)
 	p.kind = make([]uint8, n)
-	p.stamp = make([]uint64, n)
-	p.clock = 0
 	for k := range p.avgX4 {
 		p.avgX4[k] = 4 // one access on average, optimistic start
 	}
 }
 
-func (p *CounterDBP) touch(set, way int) {
-	i := set*p.ways + way
-	if p.cnt[i] < 255 {
+// Hit implements cachesim.Policy.
+func (p *CounterDBP) Hit(set, way int, a stream.Access) {
+	if i := set*p.ways + way; p.cnt[i] < 255 {
 		p.cnt[i]++
 	}
-	p.clock++
-	p.stamp[i] = p.clock
+	p.touch(set, way)
 }
 
-// Hit implements cachesim.Policy.
-func (p *CounterDBP) Hit(set, way int, a stream.Access) { p.touch(set, way) }
-
-// Fill implements cachesim.Policy.
+// Fill implements cachesim.Policy. The block it replaces, if any (a way
+// never filled still has stamp 0), teaches its stream's average its
+// final access count (alpha = 1/8).
 func (p *CounterDBP) Fill(set, way int, a stream.Access) {
 	i := set*p.ways + way
-	p.cnt[i] = 0
+	if p.stamp[i] != 0 {
+		k := p.kind[i]
+		p.avgX4[k] += (int(p.cnt[i])*4 - p.avgX4[k]) / 8
+		if p.avgX4[k] < 4 {
+			p.avgX4[k] = 4
+		}
+	}
+	p.cnt[i] = 1
 	p.kind[i] = uint8(a.Kind)
 	p.touch(set, way)
 }
@@ -86,26 +87,7 @@ func (p *CounterDBP) Victim(set int, a stream.Access) int {
 	if victim >= 0 {
 		return victim
 	}
-	for w := 0; w < p.ways; w++ {
-		if p.stamp[base+w] < oldest {
-			victim, oldest = w, p.stamp[base+w]
-		}
-	}
-	return victim
-}
-
-// Evict implements cachesim.Policy: learn the block's final access count
-// into its stream's average (alpha = 1/8).
-func (p *CounterDBP) Evict(set, way int) {
-	i := set*p.ways + way
-	k := p.kind[i]
-	final := int(p.cnt[i]) * 4
-	p.avgX4[k] += (final - p.avgX4[k]) / 8
-	if p.avgX4[k] < 4 {
-		p.avgX4[k] = 4
-	}
-	p.cnt[i] = 0
-	p.stamp[i] = 0
+	return p.LRU.Victim(set, a)
 }
 
 // LearnedLifetime exposes the learned per-stream access count (in

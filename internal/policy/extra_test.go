@@ -43,7 +43,6 @@ func TestDIPBimodalLeaderInsertsAtLRU(t *testing.T) {
 		if v == 2 {
 			t.Fatal("promoted block victimized while LIP blocks remain")
 		}
-		p.Evict(33, v)
 		p.Fill(33, v, stream.Access{Kind: stream.Z})
 	}
 }

@@ -1,8 +1,12 @@
 // Package policy implements the baseline LLC replacement policies the
 // paper evaluates against: LRU, NRU, SRRIP, DRRIP, the graphics
-// stream-aware GS-DRRIP, SHiP-mem, and a deterministic random policy.
-// The paper's own proposals (GSPZTC, GSPZTC+TSE, GSPC) live in
-// internal/core.
+// stream-aware GS-DRRIP, SHiP-mem, and a deterministic random policy;
+// and, as extensions, DIP, pseudo-LIFO, counter-based dead-block
+// prediction, UCP way-partitioning and a stream-trained Hawkeye. Each is
+// a cachesim.Policy; the two that learn from the blocks they evict
+// (SHiP-mem and CounterDBP) do so in Fill, from the state of the block
+// it replaces. The paper's own proposals (GSPZTC, GSPZTC+TSE, GSPC) live
+// in internal/core.
 package policy
 
 import (
@@ -51,9 +55,6 @@ func (p *LRU) Victim(set int, a stream.Access) int {
 	}
 	return victim
 }
-
-// Evict implements cachesim.Policy.
-func (p *LRU) Evict(set, way int) { p.stamp[set*p.ways+way] = 0 }
 
 func (p *LRU) touch(set, way int) {
 	p.clock++

@@ -42,16 +42,13 @@ func (p *NRU) Victim(set int, a stream.Access) int {
 			return w
 		}
 	}
-	// Unreachable in steady state (mark clears peers on saturation), but
-	// kept as a safeguard: age everyone and evict way 0.
+	// Every bit is set only in a one-way set, where mark leaves the lone
+	// bit set: clear them all and evict way 0.
 	for w := 0; w < p.ways; w++ {
 		p.ref[base+w] = false
 	}
 	return 0
 }
-
-// Evict implements cachesim.Policy.
-func (p *NRU) Evict(set, way int) { p.ref[set*p.ways+way] = false }
 
 func (p *NRU) mark(set, way int) {
 	base := set * p.ways

@@ -93,10 +93,3 @@ func (p *PeLIFO) Victim(set int, a stream.Access) int {
 	}
 	return victim
 }
-
-// Evict implements cachesim.Policy.
-func (p *PeLIFO) Evict(set, way int) {
-	i := set*p.ways + way
-	p.pos[i] = uint8(p.ways - 1)
-	p.escaped[i] = 0
-}

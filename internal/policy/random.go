@@ -47,6 +47,3 @@ func (p *Random) Victim(set int, a stream.Access) int {
 	p.s ^= p.s << 17
 	return int(p.s % uint64(p.ways))
 }
-
-// Evict implements cachesim.Policy.
-func (p *Random) Evict(set, way int) {}

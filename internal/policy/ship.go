@@ -83,31 +83,23 @@ func (p *SHiPMem) Hit(set, way int, a stream.Access) {
 	}
 }
 
-// Fill implements cachesim.Policy.
+// Fill implements cachesim.Policy. A block it replaces that was never
+// reused is a dead eviction, and its region's counter falls.
 func (p *SHiPMem) Fill(set, way int, a stream.Access) {
-	sig := signature(a.Addr)
 	i := set*p.ways + way
+	t := p.shct[p.bankOf[set]]
+	if p.present[i] && !p.reused[i] && t[p.sig[i]] > 0 {
+		t[p.sig[i]]--
+	}
+	sig := signature(a.Addr)
 	p.sig[i] = sig
 	p.reused[i] = false
 	p.present[i] = true
 	v := p.max - 1
-	if p.shct[p.bankOf[set]][sig] == 0 {
+	if t[sig] == 0 {
 		v = p.max
 	}
 	p.SetRRPV(set, way, v)
-}
-
-// Evict implements cachesim.Policy.
-func (p *SHiPMem) Evict(set, way int) {
-	i := set*p.ways + way
-	if p.present[i] && !p.reused[i] {
-		t := p.shct[p.bankOf[set]]
-		if t[p.sig[i]] > 0 {
-			t[p.sig[i]]--
-		}
-	}
-	p.present[i] = false
-	p.RRIP.Evict(set, way)
 }
 
 // CounterFor exposes the learned counter for an address, for tests.

@@ -17,13 +17,10 @@ import (
 // production feeds texture consumption); this implementation exists to
 // demonstrate exactly that effect in the ext-ucp experiment.
 type UCP struct {
-	ways int
-	sets int
-
-	// Main-array metadata.
+	// LRU keeps the main array's recency.
+	LRU
+	// group is each block's stream group.
 	group []uint8
-	stamp []uint64
-	clock uint64
 
 	// UMON: for each sampled set and group, a shadow LRU stack of block
 	// numbers; way-position hit counters accumulate marginal utility.
@@ -50,12 +47,8 @@ func (p *UCP) Name() string { return "UCP" }
 
 // Reset implements cachesim.Policy.
 func (p *UCP) Reset(sets, ways int) {
-	p.ways = ways
-	p.sets = sets
-	n := sets * ways
-	p.group = make([]uint8, n)
-	p.stamp = make([]uint64, n)
-	p.clock = 0
+	p.LRU.Reset(sets, ways)
+	p.group = make([]uint8, sets*ways)
 	p.shadow = make(map[int]*[NumStreamGroups][]uint64)
 	for g := range p.hits {
 		p.hits[g] = make([]int64, ways)
@@ -153,22 +146,15 @@ func (p *UCP) note(set int, a stream.Access) {
 	}
 }
 
-// Hit implements cachesim.Policy.
-func (p *UCP) Hit(set, way int, a stream.Access) {
-	p.note(set, a)
-	i := set*p.ways + way
-	p.clock++
-	p.stamp[i] = p.clock
-	p.group[i] = uint8(GroupOf(a.Kind))
-}
+// Hit implements cachesim.Policy: a hit moves the block to MRU and into
+// its access's group, as a fill does.
+func (p *UCP) Hit(set, way int, a stream.Access) { p.Fill(set, way, a) }
 
 // Fill implements cachesim.Policy.
 func (p *UCP) Fill(set, way int, a stream.Access) {
 	p.note(set, a)
-	i := set*p.ways + way
-	p.clock++
-	p.stamp[i] = p.clock
-	p.group[i] = uint8(GroupOf(a.Kind))
+	p.touch(set, way)
+	p.group[set*p.ways+way] = uint8(GroupOf(a.Kind))
 }
 
 // Victim implements cachesim.Policy: evict the LRU block of the group
@@ -187,28 +173,15 @@ func (p *UCP) Victim(set int, a stream.Access) int {
 			overG, overBy = g, ov
 		}
 	}
-	victim, oldest := -1, uint64(1<<63)
-	if overG >= 0 {
-		for w := 0; w < p.ways; w++ {
-			if int(p.group[base+w]) == overG && p.stamp[base+w] < oldest {
-				victim, oldest = w, p.stamp[base+w]
-			}
-		}
-		if victim >= 0 {
-			return victim
-		}
+	if overG < 0 {
+		return p.LRU.Victim(set, a)
 	}
+	// The over-allocated group holds at least one block of the set.
+	victim, oldest := -1, uint64(1<<63)
 	for w := 0; w < p.ways; w++ {
-		if p.stamp[base+w] < oldest {
+		if int(p.group[base+w]) == overG && p.stamp[base+w] < oldest {
 			victim, oldest = w, p.stamp[base+w]
 		}
 	}
 	return victim
-}
-
-// Evict implements cachesim.Policy.
-func (p *UCP) Evict(set, way int) {
-	i := set*p.ways + way
-	p.stamp[i] = 0
-	p.group[i] = uint8(GroupOther)
 }

@@ -14,9 +14,10 @@ import (
 // resultCache is a fixed-capacity key/value store whose eviction order is
 // delegated to one of the repo's LLC replacement policies: the cache is
 // modeled as a single fully-associative set with one way per entry, and
-// every Get/Put is translated into the Hit/Fill/Victim/Evict callbacks a
-// cachesim.Policy expects. The simulator's policies thus manage the
-// simulator's own results.
+// every Get/Put is translated into the Hit/Fill/Victim callbacks a
+// cachesim.Policy expects; a Put into a full cache fills the way Victim
+// chose. The simulator's policies thus manage the simulator's own
+// results.
 type resultCache struct {
 	mu     sync.Mutex
 	pol    cachesim.Policy
@@ -154,7 +155,6 @@ func (c *resultCache) Put(key string, v *cached) {
 			return
 		}
 		delete(c.byKey, c.keys[w])
-		c.pol.Evict(0, w)
 		c.evictions++
 		c.bytes -= int64(len(c.vals[w].body))
 	}
