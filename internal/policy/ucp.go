@@ -10,7 +10,10 @@ import (
 // the way TAP [28] applies it to CPU/GPU threads. UMON-style shadow tags
 // in sampled sets record each group's marginal hit utility per way; a
 // periodic lookahead pass re-partitions the ways; the replacement victim
-// is the LRU block of the most over-allocated group.
+// is the LRU block of the group most over its allocation, whichever
+// group the filling access belongs to, or the set's LRU block when no
+// group is over. (Qureshi and Patt's rule differs: a requester at or over
+// its allocation evicts its own LRU block.)
 //
 // The paper argues (Section 1.1.2) that explicit partitioning cannot
 // serve 3D rendering because the streams share data (render target
@@ -158,9 +161,10 @@ func (p *UCP) Fill(set, way int, a stream.Access) {
 }
 
 // Victim implements cachesim.Policy: evict the LRU block of the group
-// most over its allocation; if the filling group is under-allocated it
-// may take from any over-allocated group. Falls back to plain LRU when
-// no group exceeds its share.
+// most over its allocation (the first such group on a tie), or the set's
+// LRU block when no group exceeds its share. The filling access never
+// changes the choice: a group at or over its own share can evict
+// another group's block.
 func (p *UCP) Victim(set int, a stream.Access) int {
 	base := set * p.ways
 	var count [NumStreamGroups]int
