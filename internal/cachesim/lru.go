@@ -23,12 +23,6 @@ type LRUCache struct {
 	// lines of a set are its valid blocks, most recent first.
 	lines []lruLine
 	used  []int32
-	// last is the block number plus one (0 = none) of the block the
-	// previous access touched, and lastBase the index of its set's first
-	// line, where that access left it. A repeat of it is a hit that
-	// cannot change the set's order.
-	last     uint64
-	lastBase int
 	// drain maps a physical way to its line's position plus one while
 	// Flush sorts a set's dirty blocks by way; zero between sets.
 	drain []int32
@@ -73,27 +67,29 @@ func NewLRUCache(geom Geometry) *LRUCache {
 
 // Access performs one access and returns whether it hit. Every miss
 // allocates.
-func (c *LRUCache) Access(a stream.Access) bool {
+func (c *LRUCache) Access(a stream.Access) bool { return c.AccessRun(a, 0, false) }
+
+// AccessRun performs a, then repeats more accesses to a's block, and
+// returns whether a hit. The repeats take a's kind, and wrote says
+// whether any of them wrote. A repeat follows an access that left its
+// block most recent, so it hits, moves nothing and sends nothing
+// downstream: Stats and the block's dirty bit end as the accesses would
+// leave them made one by one, and so does everything the cache sends.
+func (c *LRUCache) AccessRun(a stream.Access, repeats int64, wrote bool) bool {
 	bn := a.Addr >> c.blockShift
-	c.Stats.Accesses++
-	c.Stats.KindAccesses[a.Kind]++
-	if bn+1 == c.last {
-		c.Stats.Hits++
-		c.Stats.KindHits[a.Kind]++
-		if a.Write {
-			c.lines[c.lastBase].dirty = true
-		}
-		return true
-	}
 	set := c.index.mod(bn)
 	base := int(set) * c.ways
 	n := int(c.used[set])
-	c.last, c.lastBase = bn+1, base
+	c.Stats.Accesses += 1 + repeats
+	c.Stats.KindAccesses[a.Kind] += 1 + repeats
+	c.Stats.Hits += repeats
+	c.Stats.KindHits[a.Kind] += repeats
+	dirty := a.Write || wrote
 	lines := c.lines[base : base+n]
 	for i := range lines {
 		if lines[i].tag == bn {
 			l := lines[i]
-			l.dirty = l.dirty || a.Write
+			l.dirty = l.dirty || dirty
 			copy(lines[1:i+1], lines[:i])
 			lines[0] = l
 			c.Stats.Hits++
@@ -122,7 +118,7 @@ func (c *LRUCache) Access(a stream.Access) bool {
 		way = v.way
 	}
 	copy(lines[1:], lines[:n-1])
-	lines[0] = lruLine{tag: bn, way: way, dirty: a.Write}
+	lines[0] = lruLine{tag: bn, way: way, dirty: dirty}
 	return false
 }
 
@@ -159,6 +155,5 @@ func (c *LRUCache) Flush() {
 // Reset invalidates every block and clears Stats.
 func (c *LRUCache) Reset() {
 	clear(c.used)
-	c.last = 0
 	c.Stats = Stats{}
 }

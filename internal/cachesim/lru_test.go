@@ -26,11 +26,12 @@ type lruLevel struct {
 	WritebackKind  stream.Kind
 }
 
-// lruOp is an access to the first level; or, with Flush set, a drain of
-// every level from the first down; or, with Reset set, a reset of level
-// Level.
+// lruOp is a run of accesses to the first level: one access, then
+// repeats of its block with its kind, each with its own write flag and
+// byte offset. With Flush set it is instead a drain of every level from
+// the first down, and with Reset set a reset of level Level.
 type lruOp struct {
-	Access       stream.Access
+	Run          []stream.Access
 	Flush, Reset bool
 	Level        int
 }
@@ -57,11 +58,10 @@ func randomGeometry(r *rand.Rand) cachesim.Geometry {
 }
 
 // Generate implements quick.Generator. Accesses come in runs of 1-8 to
-// one block, each with its own kind, write flag and byte offset, over a
-// pool of blocks strided from a random base; a stride of the first
-// level's set count crowds the whole pool into one set. About one
-// operation in 150 is a flush and one in 300 a reset, and a reset or a
-// flush may fall inside a run.
+// one block with one kind, over a pool of blocks strided from a random
+// base; a stride of the first level's set count crowds the whole pool
+// into one set. About one operation in 150 is a flush and one in 300 a
+// reset, and a reset or a flush may split a run in two.
 func (lruChain) Generate(r *rand.Rand, size int) reflect.Value {
 	var c lruChain
 	for range 1 + r.Intn(3) {
@@ -78,29 +78,41 @@ func (lruChain) Generate(r *rand.Rand, size int) reflect.Value {
 	base := r.Uint64() >> 16
 	for range r.Intn(600) {
 		bn := base + uint64(r.Intn(pool))*stride
+		kind := stream.Kind(r.Intn(int(stream.NumKinds)))
+		var run []stream.Access
+		split := func(op lruOp) {
+			if len(run) > 0 {
+				c.Ops = append(c.Ops, lruOp{Run: run})
+			}
+			c.Ops = append(c.Ops, op)
+			run = nil
+		}
 		for range 1 + r.Intn(8) {
 			switch r.Intn(300) {
 			case 0, 1:
-				c.Ops = append(c.Ops, lruOp{Flush: true})
+				split(lruOp{Flush: true})
 			case 2:
-				c.Ops = append(c.Ops, lruOp{Reset: true, Level: r.Intn(len(c.Levels))})
+				split(lruOp{Reset: true, Level: r.Intn(len(c.Levels))})
 			}
-			c.Ops = append(c.Ops, lruOp{Access: stream.Access{
+			run = append(run, stream.Access{
 				Addr:  bn*uint64(top.BlockSize) + uint64(r.Intn(top.BlockSize)),
-				Kind:  stream.Kind(r.Intn(int(stream.NumKinds))),
+				Kind:  kind,
 				Write: r.Intn(2) == 0,
-			}})
+			})
 		}
+		c.Ops = append(c.Ops, lruOp{Run: run})
 	}
 	return reflect.ValueOf(c)
 }
 
 // TestLRUCacheMatchesCacheWithLRU runs each generated chain twice, once
 // built from LRUCache levels and once from Cache levels with policy.LRU,
-// each level the Downstream of the one before, and demands the same hit
-// or miss from the first level, the same Stats at every level after
-// every operation, and the same accesses out of the last level in the
-// same order.
+// each level the Downstream of the one before. The LRUCache chain takes
+// each run in one AccessRun call, the Cache chain as single accesses.
+// The test demands the same hit or miss from the first level for a
+// run's first access, a hit for every repeat, the same Stats at every
+// level after every operation, and the same accesses out of the last
+// level in the same order.
 func TestLRUCacheMatchesCacheWithLRU(t *testing.T) {
 	f := func(ch lruChain) bool {
 		var got, want []stream.Access
@@ -130,8 +142,17 @@ func TestLRUCacheMatchesCacheWithLRU(t *testing.T) {
 				lru[op.Level].Reset()
 				ref[op.Level].Reset()
 			default:
-				if lru[0].Access(op.Access) != ref[0].Access(op.Access) {
+				wrote := false
+				for _, a := range op.Run[1:] {
+					wrote = wrote || a.Write
+				}
+				if lru[0].AccessRun(op.Run[0], int64(len(op.Run)-1), wrote) != ref[0].Access(op.Run[0]) {
 					return false
+				}
+				for _, a := range op.Run[1:] {
+					if !ref[0].Access(a) {
+						return false
+					}
 				}
 			}
 			for i := range lru {

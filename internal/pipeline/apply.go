@@ -7,82 +7,86 @@ import (
 	"gspc/internal/rendercache"
 )
 
-// A render runs in two stages. The renderer rasterizes and records each
-// render-cache request it makes in a batch, in program order; the apply
-// stage replays the batches, in the same order, through the
-// rendercache.Complex methods. The rasterizer never reads cache state,
-// and each render cache sees its own requests in program order, so the
-// caches emit exactly the accesses, in exactly the order, a direct call
-// per request would: the split changes only which goroutine does the
-// filtering.
+// A render runs in two stages. The renderer rasterizes and records its
+// render-cache requests in a batch, in program order; the apply stage
+// replays the batches, in the same order, through the
+// rendercache.Complex methods. A request that repeats the block of the
+// previous request through its port does not get an entry of its own:
+// the renderer folds it into the entry of the run it repeats, as a
+// count and a flag saying whether any repeat wrote (see Renderer.req).
+// The rasterizer never reads cache state, and each render cache sees its
+// own requests in program order, so the caches emit exactly the
+// accesses, in exactly the order, a direct call per request would: the
+// split changes only which goroutine does the filtering.
 
-// reqOp names the Complex method a request calls. The methods that take
-// a write flag carry it in the top bit.
+// reqOp names the Complex method a request calls: below opOther, the
+// rendercache.Port it accesses. The ports' write flag is the top bit,
+// and opRepeatWrite marks an entry one of whose repeats wrote.
 type reqOp uint8
 
 const (
-	opVertexIndex reqOp = iota
-	opVertex
-	opHiZ
-	opZ
-	opStencil
-	opRT
-	opTexture
-	opDisplayColor
-	opOther
-	opFlush
-	opInvalidateTextures
-
-	opWrite reqOp = 0x80
+	opVertexIndex  = reqOp(rendercache.VertexIndex)
+	opVertex       = reqOp(rendercache.Vertex)
+	opHiZ          = reqOp(rendercache.HiZ)
+	opZ            = reqOp(rendercache.Z)
+	opStencil      = reqOp(rendercache.Stencil)
+	opRT           = reqOp(rendercache.RT)
+	opTexture      = reqOp(rendercache.Texture)
+	opDisplayColor = reqOp(rendercache.DisplayColor)
 )
 
-// A render holds batchesInFlight batches of batchLen requests, 147 KB
-// at 9 bytes per request: one filling, the rest queued or being
-// applied. The queue lets the two stages run at uneven rates for a
-// while (a Flush drains every writeback cache at once) without either
-// waiting, and keeps a render's buffers inside 256 KB.
+const (
+	opOther reqOp = reqOp(rendercache.NumPorts) + iota
+	opFlush
+	opInvalidateTextures
+)
+
+const (
+	opWrite       reqOp = 0x80
+	opRepeatWrite       = opWrite >> 1 // a repeat's write flag, shifted
+)
+
+// A render holds batchesInFlight batches of batchLen entries, 279 KB at
+// 17 bytes per entry: one filling, the rest queued or being applied.
+// The queue lets the two stages run at uneven rates for a while (a
+// Flush drains every writeback cache at once) without either waiting.
 const (
 	batchLen        = 4096
 	batchesInFlight = 4
 )
 
-// batch is a run of requests in program order.
+// batch is a run of entries in program order. Entry i is a request and,
+// for a port, rep[i] repeats of its block that followed it; the count is
+// wide enough that no run can overflow it.
 type batch struct {
 	n    int
 	addr [batchLen]uint64
+	rep  [batchLen]int64
 	op   [batchLen]reqOp
+}
+
+// add records one request as a new entry, in space Renderer.room made.
+func (b *batch) add(addr uint64, op reqOp) {
+	b.addr[b.n], b.op[b.n] = addr, op
+	b.n++
 }
 
 // batches recycles batches across renders.
 var batches = sync.Pool{New: func() any { return new(batch) }}
 
-// apply issues the batch's requests to rc in order and empties it.
+// apply issues the batch's entries to rc in order and empties it.
 func (b *batch) apply(rc *rendercache.Complex) {
 	for i, op := range b.op[:b.n] {
-		a, w := b.addr[i], op&opWrite != 0
-		switch op &^ opWrite {
-		case opVertexIndex:
-			rc.VertexIndex(a)
-		case opVertex:
-			rc.Vertex(a)
-		case opHiZ:
-			rc.HiZ(a, w)
-		case opZ:
-			rc.Z(a, w)
-		case opStencil:
-			rc.Stencil(a, w)
-		case opRT:
-			rc.RT(a, w)
-		case opTexture:
-			rc.Texture(a)
-		case opDisplayColor:
-			rc.DisplayColor(a, w)
+		a := b.addr[i]
+		switch p := op &^ (opWrite | opRepeatWrite); p {
 		case opOther:
 			rc.Other(a)
 		case opFlush:
 			rc.Flush()
 		case opInvalidateTextures:
 			rc.InvalidateTextures()
+		default:
+			rc.Access(rendercache.Port(p), a, op&opWrite != 0, b.rep[i], op&opRepeatWrite != 0)
 		}
 	}
 	b.n = 0

@@ -17,6 +17,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gspc/internal/memmap"
 	"gspc/internal/rendercache"
@@ -147,6 +148,9 @@ type Renderer struct {
 	b    *batch
 	hand func(*batch) *batch
 
+	// memo holds a memo per port, indexed by port.
+	memo [rendercache.NumPorts]memo
+
 	// PixelsShaded counts pixels that survived depth testing and were
 	// shaded; exported for workload calibration tests.
 	PixelsShaded int64
@@ -156,9 +160,30 @@ type Renderer struct {
 	backBuffer *memmap.Surface
 }
 
-// NewRenderer returns a renderer emitting into rc.
+// memo names the block of a port's previous request and the entry of
+// the batch being filled whose run holds that request.
+type memo struct {
+	last  uint64 // block number, or noBlock
+	at    int
+	shift uint8 // log2 of the port's cache block size
+}
+
+// noBlock is no block's number: cache blocks are at least two bytes.
+const noBlock = ^uint64(0)
+
+// NewRenderer returns a renderer emitting into rc. A renderer whose rc
+// is nil only records requests, folding them at the default geometry's
+// block sizes.
 func NewRenderer(rc *rendercache.Complex) *Renderer {
-	return &Renderer{rc: rc}
+	cfg := rendercache.DefaultConfig()
+	if rc != nil {
+		cfg = rc.Config()
+	}
+	r := &Renderer{rc: rc}
+	for p := range rendercache.NumPorts {
+		r.memo[p].shift = uint8(bits.TrailingZeros(uint(cfg.Geometry(p).BlockSize)))
+	}
+	return r
 }
 
 // RenderFrame executes every pass of the frame and resolves the back
@@ -191,18 +216,17 @@ func (r *Renderer) RenderFrame(f *Frame) {
 func (r *Renderer) render(f *Frame, b *batch, hand func(*batch) *batch) *batch {
 	r.rng = xrand.New(f.Seed)
 	r.backBuffer = f.BackBuffer
-	r.b, r.hand = b, hand
+	r.hand = hand
+	r.fill(b)
 	for pi, p := range f.Passes {
 		if p.SamplesDynamic {
-			r.room(1)
-			r.req(0, opInvalidateTextures)
+			r.barrier(opInvalidateTextures, opTexture)
 		}
 		r.renderPass(f, p, uint64(pi))
 		// Unbinding the pass's surfaces flushes dirty render cache
 		// blocks to the LLC so later passes (and the display engine)
 		// observe produced data there.
-		r.room(1)
-		r.req(0, opFlush)
+		r.barrier(opFlush, opRT, opDisplayColor, opZ, opHiZ, opStencil) // the ports Flush drains
 	}
 	b = r.b
 	r.b, r.hand = nil, nil
@@ -210,21 +234,72 @@ func (r *Renderer) render(f *Frame, b *batch, hand func(*batch) *batch) *batch {
 }
 
 // room makes space for the next k requests, handing the current batch
-// on first if it has fewer than k free slots. Every run of req calls
+// on first if it has fewer than k free entries. Every run of req calls
 // follows a room call that covers it; split this way, both inline into
 // the pixel loop.
 func (r *Renderer) room(k int) {
 	if r.b.n+k > batchLen {
-		r.b = r.hand(r.b)
+		r.handOn()
 	}
 }
 
-// req records one render-cache request in space room made.
+// handOn hands the batch on and fills the one hand returns. It stays
+// out of line, so room inlines.
+//
+//go:noinline
+func (r *Renderer) handOn() { r.fill(r.hand(r.b)) }
+
+// fill makes b the batch to fill: its repeat counts start at zero, and
+// no memo names an entry of it.
+func (r *Renderer) fill(b *batch) {
+	clear(b.rep[:])
+	r.b = b
+	r.forget()
+}
+
+// barrier records a Flush or a texture invalidation, and forgets the
+// memos of the ports whose caches it changes: their caches must see a
+// later request after the barrier, so it may not fold into an earlier
+// run.
+func (r *Renderer) barrier(op reqOp, ports ...reqOp) {
+	r.room(1)
+	r.b.add(0, op)
+	for _, p := range ports {
+		r.memo[p].last = noBlock
+	}
+}
+
+// forget clears every port's memo.
+func (r *Renderer) forget() {
+	for p := range r.memo {
+		r.memo[p].last = noBlock
+	}
+}
+
+// req records one request through a port, in space room made. A request
+// for the block of its port's previous request in the same batch, with
+// no barrier between them, repeats it: that request left the block most
+// recent in the port's cache, and nothing has reached the cache since,
+// so the repeat hits and changes only counters and the dirty bit. req
+// folds it into the entry of its run instead of recording it.
 func (r *Renderer) req(addr uint64, op reqOp) {
-	b := r.b
-	b.addr[b.n] = addr
-	b.op[b.n] = op
-	b.n++
+	m, b := &r.memo[op&^opWrite], r.b
+	if blk := addr >> m.shift; blk != m.last {
+		m.last, m.at = blk, b.n
+		b.add(addr, op)
+	} else {
+		b.rep[m.at]++
+		b.op[m.at] |= op & opWrite >> 1
+	}
+}
+
+// repeat folds a request that repeats its port's previous request into
+// that request's run, with no memo lookup: the second request of a
+// read-modify-write pair, in space room made for the pair.
+func (r *Renderer) repeat(op reqOp) {
+	b, at := r.b, r.memo[op&^opWrite].at
+	b.rep[at]++
+	b.op[at] |= op & opWrite >> 1
 }
 
 func (r *Renderer) renderPass(f *Frame, p *Pass, passID uint64) {
@@ -338,7 +413,7 @@ func (r *Renderer) touchConstants(f *Frame, rng *xrand.RNG) {
 	r.room(4)
 	for i := 0; i < 4; i++ {
 		blk := rng.Intn(f.ConstBlocks)
-		r.req(f.ConstBase+uint64(blk*memmap.BlockSize), opOther)
+		r.b.add(f.ConstBase+uint64(blk*memmap.BlockSize), opOther)
 	}
 }
 
@@ -383,7 +458,7 @@ func (r *Renderer) rasterizePatch(p *Pass, d *Draw, texs []texCtx, px, py, pw, p
 				// The HiZ min/max is updated when the tile's depth
 				// range changes (a fraction of tiles).
 				if rng.Bool(0.25) {
-					r.req(ha, opHiZ|opWrite)
+					r.repeat(opHiZ | opWrite)
 				}
 			}
 
@@ -406,7 +481,7 @@ func (r *Renderer) shadePixel(p *Pass, d *Draw, texs []texCtx, x, y int, rng *xr
 			r.PixelsRejected++
 			return
 		}
-		r.req(za, opZ|opWrite)
+		r.repeat(opZ | opWrite)
 	}
 
 	// Stencil test (read; occasional mask update).
@@ -414,7 +489,7 @@ func (r *Renderer) shadePixel(p *Pass, d *Draw, texs []texCtx, x, y int, rng *xr
 		sa := p.Stencil.Addr(x, y)
 		r.req(sa, opStencil)
 		if rng.Bool(0.1) {
-			r.req(sa, opStencil|opWrite)
+			r.repeat(opStencil | opWrite)
 		}
 	}
 
@@ -438,16 +513,15 @@ func (r *Renderer) shadePixel(p *Pass, d *Draw, texs []texCtx, x, y int, rng *xr
 	r.room(2)
 	if p.Target != nil {
 		ca := p.Target.Addr(x, y)
+		op := opRT
 		if p.Target == r.backBuffer {
-			if d.Blend {
-				r.req(ca, opDisplayColor)
-			}
-			r.req(ca, opDisplayColor|opWrite)
+			op = opDisplayColor
+		}
+		if d.Blend {
+			r.req(ca, op)
+			r.repeat(op | opWrite)
 		} else {
-			if d.Blend {
-				r.req(ca, opRT)
-			}
-			r.req(ca, opRT|opWrite)
+			r.req(ca, op|opWrite)
 		}
 	}
 	for _, et := range p.ExtraTargets {

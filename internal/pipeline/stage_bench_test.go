@@ -10,14 +10,34 @@ import (
 )
 
 // benchScale and the suite frame below are BenchmarkTraceGeneration's,
-// so the two stage benches split that bench's synthesis.
+// so the stage benches split that bench's synthesis: building the frame,
+// rasterizing it into render-cache requests, and applying those.
 const benchScale = 0.15
 
-func benchFrame() *pipeline.Frame { return workload.Suite()[14].Build(benchScale) }
+func benchJob() workload.FrameJob { return workload.Suite()[14] }
 
-func reportPerRequest(b *testing.B, requests int) {
+func benchFrame() *pipeline.Frame { return benchJob().Build(benchScale) }
+
+var benchConfig = rendercache.DefaultConfig().Scaled(benchScale)
+
+// reportPerRequest reports the time per render-cache request the frame
+// makes, whether it got a batch entry of its own or was folded into an
+// earlier one's run, and the number of entries.
+func reportPerRequest(b *testing.B, requests, entries int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(requests), "ns/request")
 	b.ReportMetric(float64(requests), "requests/op")
+	b.ReportMetric(float64(entries), "entries/op")
+}
+
+// BenchmarkWorkloadBuild measures the first stage alone: building the
+// frame's passes, draws and surfaces.
+func BenchmarkWorkloadBuild(b *testing.B) {
+	job := benchJob()
+	for i := 0; i < b.N; i++ {
+		if len(job.Build(benchScale).Passes) == 0 {
+			b.Fatal("frame has no passes")
+		}
+	}
 }
 
 // BenchmarkRenderRequests measures the rasterizing stage alone: the
@@ -25,27 +45,29 @@ func reportPerRequest(b *testing.B, requests int) {
 // that discards them.
 func BenchmarkRenderRequests(b *testing.B) {
 	f := benchFrame()
-	var requests int
+	requests, _ := pipeline.RecordRequests(f, benchConfig).Len()
+	rc := rendercache.New(benchConfig, nil)
+	var entries int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		requests = pipeline.RenderDiscarding(pipeline.NewRenderer(nil), f)
+		entries = pipeline.RenderDiscarding(pipeline.NewRenderer(rc), f)
 	}
-	reportPerRequest(b, requests)
+	reportPerRequest(b, requests, entries)
 }
 
 // BenchmarkRenderCacheApply measures the filtering stage alone: a
 // frame's recorded request stream applied to a fresh render-cache
 // complex whose LLC emissions are discarded.
 func BenchmarkRenderCacheApply(b *testing.B) {
-	q := pipeline.RecordRequests(benchFrame())
-	cfg := rendercache.DefaultConfig().Scaled(benchScale)
+	q := pipeline.RecordRequests(benchFrame(), benchConfig)
 	discard := stream.SinkFunc(func(stream.Access) {})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		rc := rendercache.New(cfg, discard)
+		rc := rendercache.New(benchConfig, discard)
 		b.StartTimer()
 		q.Apply(rc)
 	}
-	reportPerRequest(b, q.Len())
+	requests, entries := q.Len()
+	reportPerRequest(b, requests, entries)
 }

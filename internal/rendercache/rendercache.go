@@ -99,97 +99,102 @@ func (c Config) Digest() string {
 	return hex.EncodeToString(h.Sum(nil))[:12]
 }
 
-// Complex is the full render cache assembly. Pipeline stages call the
-// typed access methods; misses and dirty writebacks flow to the
-// downstream sink (the LLC model or a trace collector) tagged with their
-// stream kind. Back-buffer color output flows through its own color
-// cache and reaches the LLC as the displayable color stream.
-type Complex struct {
-	out stream.Sink
+// Port is one of the complex's first-level render caches, named for the
+// pipeline requests it serves. The texture port leads into the L1 -> L2
+// -> L3 sampler hierarchy; the display color port is the back buffer's
+// own color cache, organized like the render target cache.
+type Port uint8
 
-	vtxIndex *cachesim.LRUCache
-	vtx      *cachesim.LRUCache
-	hiz      *cachesim.LRUCache
-	stencil  *cachesim.LRUCache
-	rt       *cachesim.LRUCache
-	rtDisp   *cachesim.LRUCache
-	z        *cachesim.LRUCache
-	texL1    *cachesim.LRUCache
-	texL2    *cachesim.LRUCache
-	texL3    *cachesim.LRUCache
+const (
+	VertexIndex  Port = iota // index buffer reads
+	Vertex                   // vertex buffer reads
+	HiZ                      // hierarchical depth
+	Z                        // depth
+	Stencil                  // stencil
+	RT                       // render target color: production and blending reads
+	Texture                  // texel reads
+	DisplayColor             // back buffer color: the displayable color stream
+	NumPorts
+)
+
+// portKind is the stream kind of each port's accesses and writebacks.
+var portKind = [NumPorts]stream.Kind{
+	VertexIndex:  stream.Vertex,
+	Vertex:       stream.Vertex,
+	HiZ:          stream.HiZ,
+	Z:            stream.Z,
+	Stencil:      stream.Stencil,
+	RT:           stream.RT,
+	Texture:      stream.Texture,
+	DisplayColor: stream.Display,
+}
+
+// Geometry returns the geometry of the cache behind port p.
+func (c Config) Geometry(p Port) cachesim.Geometry {
+	return [NumPorts]cachesim.Geometry{
+		VertexIndex:  c.VertexIndex,
+		Vertex:       c.Vertex,
+		HiZ:          c.HiZ,
+		Z:            c.Z,
+		Stencil:      c.Stencil,
+		RT:           c.RT,
+		Texture:      c.TexL1,
+		DisplayColor: c.RT,
+	}[p]
+}
+
+// Complex is the full render cache assembly. Pipeline stages access it
+// through its ports; misses and dirty writebacks flow to the downstream
+// sink (the LLC model or a trace collector) tagged with their stream
+// kind. Back-buffer color output flows through its own color cache and
+// reaches the LLC as the displayable color stream.
+type Complex struct {
+	cfg  Config
+	out  stream.Sink
+	port [NumPorts]*cachesim.LRUCache
+	// The texture port's L1 misses go to texL2, and its misses to texL3.
+	texL2, texL3 *cachesim.LRUCache
 }
 
 // New builds a render cache complex feeding out.
 func New(cfg Config, out stream.Sink) *Complex {
-	c := &Complex{out: out}
+	c := &Complex{cfg: cfg, out: out}
 	mk := func(g cachesim.Geometry, k stream.Kind, down stream.Sink) *cachesim.LRUCache {
 		cc := cachesim.NewLRUCache(g)
 		cc.Downstream = down
 		cc.WritebackKind = k
 		return cc
 	}
-	c.vtxIndex = mk(cfg.VertexIndex, stream.Vertex, out)
-	c.vtx = mk(cfg.Vertex, stream.Vertex, out)
-	c.hiz = mk(cfg.HiZ, stream.HiZ, out)
-	c.stencil = mk(cfg.Stencil, stream.Stencil, out)
-	c.rt = mk(cfg.RT, stream.RT, out)
-	// Color output writes whole tiles: the RT cache validates write
-	// misses locally instead of fetching stale pixels through the LLC.
-	c.rt.NoFetchOnWrite = true
-	// The back buffer's color output is the displayable color stream
-	// (Section 2.1: the final pixel colors written to the back buffer);
-	// it shares the RT cache organization but its writebacks are tagged
-	// as display traffic, which the UCD policies bypass.
-	c.rtDisp = mk(cfg.RT, stream.Display, out)
-	c.rtDisp.NoFetchOnWrite = true
-	c.z = mk(cfg.Z, stream.Z, out)
 	// The texture hierarchy chains L1 -> L2 -> L3 -> out and is
 	// read-only (samplers never write textures).
 	c.texL3 = mk(cfg.TexL3, stream.Texture, out)
 	c.texL2 = mk(cfg.TexL2, stream.Texture, c.texL3)
-	c.texL1 = mk(cfg.TexL1, stream.Texture, c.texL2)
+	for p := range NumPorts {
+		down := out
+		if p == Texture {
+			down = c.texL2
+		}
+		c.port[p] = mk(cfg.Geometry(p), portKind[p], down)
+	}
+	// Color output writes whole tiles: the color caches validate write
+	// misses locally instead of fetching stale pixels through the LLC.
+	// The back buffer's writebacks are tagged as display traffic
+	// (Section 2.1: the final pixel colors written to the back buffer),
+	// which the UCD policies bypass.
+	c.port[RT].NoFetchOnWrite = true
+	c.port[DisplayColor].NoFetchOnWrite = true
 	return c
 }
 
-// VertexIndex reads an index buffer element.
-func (c *Complex) VertexIndex(addr uint64) {
-	c.vtxIndex.Access(stream.Access{Addr: addr, Kind: stream.Vertex})
-}
+// Config returns the configuration the complex was built with.
+func (c *Complex) Config() Config { return c.cfg }
 
-// Vertex reads a vertex buffer element.
-func (c *Complex) Vertex(addr uint64) {
-	c.vtx.Access(stream.Access{Addr: addr, Kind: stream.Vertex})
-}
-
-// HiZ accesses the hierarchical depth buffer.
-func (c *Complex) HiZ(addr uint64, write bool) {
-	c.hiz.Access(stream.Access{Addr: addr, Kind: stream.HiZ, Write: write})
-}
-
-// Z accesses the depth buffer.
-func (c *Complex) Z(addr uint64, write bool) {
-	c.z.Access(stream.Access{Addr: addr, Kind: stream.Z, Write: write})
-}
-
-// Stencil accesses the stencil buffer.
-func (c *Complex) Stencil(addr uint64, write bool) {
-	c.stencil.Access(stream.Access{Addr: addr, Kind: stream.Stencil, Write: write})
-}
-
-// RT accesses a render target (pixel color production or blending read).
-func (c *Complex) RT(addr uint64, write bool) {
-	c.rt.Access(stream.Access{Addr: addr, Kind: stream.RT, Write: write})
-}
-
-// Texture reads a texel through the three-level sampler hierarchy.
-func (c *Complex) Texture(addr uint64) {
-	c.texL1.Access(stream.Access{Addr: addr, Kind: stream.Texture})
-}
-
-// DisplayColor accesses the back buffer (displayable color production,
-// or a blending read of it).
-func (c *Complex) DisplayColor(addr uint64, write bool) {
-	c.rtDisp.Access(stream.Access{Addr: addr, Kind: stream.Display, Write: write})
+// Access makes a run of accesses through port p: one to addr, a write
+// if write is set, then repeats more to addr's block, of which at least
+// one wrote if repeatWrite is set. Only the first can miss, so a run
+// reaches the LLC exactly as its accesses would one by one.
+func (c *Complex) Access(p Port, addr uint64, write bool, repeats int64, repeatWrite bool) {
+	c.port[p].AccessRun(stream.Access{Addr: addr, Kind: portKind[p], Write: write}, repeats, repeatWrite)
 }
 
 // Other forwards a miscellaneous access (shader code, constants) straight
@@ -198,14 +203,15 @@ func (c *Complex) Other(addr uint64) {
 	c.out.Emit(stream.Access{Addr: addr, Kind: stream.Other})
 }
 
-// Flush drains dirty blocks from the writeback caches (RT, Z, HiZ,
-// stencil) at frame end so produced surfaces reach the LLC stream.
+// Flush drains dirty blocks from the writeback caches (the RT, display
+// color, Z, HiZ and stencil ports) at frame end so produced surfaces
+// reach the LLC stream.
 func (c *Complex) Flush() {
-	c.rt.Flush()
-	c.rtDisp.Flush()
-	c.z.Flush()
-	c.hiz.Flush()
-	c.stencil.Flush()
+	c.port[RT].Flush()
+	c.port[DisplayColor].Flush()
+	c.port[Z].Flush()
+	c.port[HiZ].Flush()
+	c.port[Stencil].Flush()
 }
 
 // InvalidateTextures resets the texture hierarchy. The pipeline calls
@@ -213,28 +219,26 @@ func (c *Complex) Flush() {
 // stale sampler data cannot satisfy reads of freshly produced surfaces
 // (real GPUs flush sampler caches on such barriers).
 func (c *Complex) InvalidateTextures() {
-	s1, s2, s3 := c.texL1.Stats, c.texL2.Stats, c.texL3.Stats
-	c.texL1.Reset()
-	c.texL2.Reset()
-	c.texL3.Reset()
-	// Preserve cumulative statistics across the barrier.
-	c.texL1.Stats = s1
-	c.texL2.Stats = s2
-	c.texL3.Stats = s3
+	for _, t := range []*cachesim.LRUCache{c.port[Texture], c.texL2, c.texL3} {
+		// Preserve cumulative statistics across the barrier.
+		st := t.Stats
+		t.Reset()
+		t.Stats = st
+	}
 }
 
 // Stats returns the aggregate hit statistics of every render cache,
 // keyed by a short name, for diagnostics.
 func (c *Complex) Stats() map[string]cachesim.Stats {
 	return map[string]cachesim.Stats{
-		"vtxidx": c.vtxIndex.Stats,
-		"vtx":    c.vtx.Stats,
-		"hiz":    c.hiz.Stats,
-		"stc":    c.stencil.Stats,
-		"rt":     c.rt.Stats,
-		"rtdisp": c.rtDisp.Stats,
-		"z":      c.z.Stats,
-		"texL1":  c.texL1.Stats,
+		"vtxidx": c.port[VertexIndex].Stats,
+		"vtx":    c.port[Vertex].Stats,
+		"hiz":    c.port[HiZ].Stats,
+		"stc":    c.port[Stencil].Stats,
+		"rt":     c.port[RT].Stats,
+		"rtdisp": c.port[DisplayColor].Stats,
+		"z":      c.port[Z].Stats,
+		"texL1":  c.port[Texture].Stats,
 		"texL2":  c.texL2.Stats,
 		"texL3":  c.texL3.Stats,
 	}

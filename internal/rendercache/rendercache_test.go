@@ -70,13 +70,13 @@ func TestScaledProportional(t *testing.T) {
 func TestMissFetchReachesOutput(t *testing.T) {
 	out := &capture{}
 	rc := New(DefaultConfig(), out)
-	rc.Z(0x1000, false)
+	rc.Access(Z, 0x1000, false, 0, false)
 	zs := out.byKind(stream.Z)
 	if len(zs) != 1 || zs[0].Write {
 		t.Fatalf("Z miss output = %+v", zs)
 	}
 	// Second access hits in the Z cache: no new LLC traffic.
-	rc.Z(0x1000, true)
+	rc.Access(Z, 0x1000, true, 0, false)
 	if len(out.byKind(stream.Z)) != 1 {
 		t.Error("Z cache hit leaked to the LLC")
 	}
@@ -85,12 +85,12 @@ func TestMissFetchReachesOutput(t *testing.T) {
 func TestRTWriteValidateNoFetch(t *testing.T) {
 	out := &capture{}
 	rc := New(DefaultConfig(), out)
-	rc.RT(0x2000, true)
+	rc.Access(RT, 0x2000, true, 0, false)
 	if n := len(out.byKind(stream.RT)); n != 0 {
 		t.Errorf("RT write miss emitted %d accesses, want 0 (write validate)", n)
 	}
 	// A blending read miss does fetch.
-	rc.RT(0x8000, false)
+	rc.Access(RT, 0x8000, false, 0, false)
 	if n := len(out.byKind(stream.RT)); n != 1 {
 		t.Errorf("RT read miss emitted %d accesses, want 1", n)
 	}
@@ -99,7 +99,7 @@ func TestRTWriteValidateNoFetch(t *testing.T) {
 func TestDirtyRTWritebackOnFlush(t *testing.T) {
 	out := &capture{}
 	rc := New(DefaultConfig(), out)
-	rc.RT(0x2000, true)
+	rc.Access(RT, 0x2000, true, 0, false)
 	rc.Flush()
 	rts := out.byKind(stream.RT)
 	if len(rts) != 1 || !rts[0].Write || rts[0].Addr != 0x2000 {
@@ -110,13 +110,13 @@ func TestDirtyRTWritebackOnFlush(t *testing.T) {
 func TestTextureHierarchyChains(t *testing.T) {
 	out := &capture{}
 	rc := New(DefaultConfig(), out)
-	rc.Texture(0x4000)
+	rc.Access(Texture, 0x4000, false, 0, false)
 	// One L1 miss -> L2 miss -> L3 miss -> one LLC texture access.
 	if n := len(out.byKind(stream.Texture)); n != 1 {
 		t.Fatalf("texture miss produced %d LLC accesses, want 1", n)
 	}
 	// Hit in L1 now.
-	rc.Texture(0x4000)
+	rc.Access(Texture, 0x4000, false, 0, false)
 	if n := len(out.byKind(stream.Texture)); n != 1 {
 		t.Error("texture hit leaked to the LLC")
 	}
@@ -129,11 +129,11 @@ func TestTextureHierarchyChains(t *testing.T) {
 func TestInvalidateTexturesDropsContentsKeepsStats(t *testing.T) {
 	out := &capture{}
 	rc := New(DefaultConfig(), out)
-	rc.Texture(0x4000)
+	rc.Access(Texture, 0x4000, false, 0, false)
 	before := rc.Stats()["texL1"]
 	rc.InvalidateTextures()
 	// Contents dropped: same address misses again.
-	rc.Texture(0x4000)
+	rc.Access(Texture, 0x4000, false, 0, false)
 	if n := len(out.byKind(stream.Texture)); n != 2 {
 		t.Errorf("post-invalidate access produced %d LLC accesses, want 2 total", n)
 	}
@@ -148,7 +148,7 @@ func TestDisplayColorWritebacks(t *testing.T) {
 	rc := New(DefaultConfig(), out)
 	// Writes are validated locally (no fetch) and reach the LLC only as
 	// display-tagged writebacks on flush.
-	rc.DisplayColor(0x6000, true)
+	rc.Access(DisplayColor, 0x6000, true, 0, false)
 	if len(out.byKind(stream.Display)) != 0 {
 		t.Fatal("display write miss fetched through the LLC")
 	}
@@ -158,7 +158,7 @@ func TestDisplayColorWritebacks(t *testing.T) {
 		t.Fatalf("display writeback = %+v", ds)
 	}
 	// A blending read of the back buffer misses through to the LLC.
-	rc.DisplayColor(0x9000, false)
+	rc.Access(DisplayColor, 0x9000, false, 0, false)
 	ds = out.byKind(stream.Display)
 	if len(ds) != 2 || ds[1].Write {
 		t.Fatalf("display read = %+v", ds)
@@ -178,15 +178,15 @@ func TestOtherGoesStraightThrough(t *testing.T) {
 func TestVertexStreams(t *testing.T) {
 	out := &capture{}
 	rc := New(DefaultConfig(), out)
-	rc.VertexIndex(0x100)
-	rc.Vertex(0x9000)
+	rc.Access(VertexIndex, 0x100, false, 0, false)
+	rc.Access(Vertex, 0x9000, false, 0, false)
 	vs := out.byKind(stream.Vertex)
 	if len(vs) != 2 {
 		t.Fatalf("vertex misses = %d, want 2", len(vs))
 	}
 	// Both caches hold their block now.
-	rc.VertexIndex(0x100)
-	rc.Vertex(0x9000)
+	rc.Access(VertexIndex, 0x100, false, 0, false)
+	rc.Access(Vertex, 0x9000, false, 0, false)
 	if len(out.byKind(stream.Vertex)) != 2 {
 		t.Error("vertex cache hits leaked to the LLC")
 	}
@@ -195,8 +195,8 @@ func TestVertexStreams(t *testing.T) {
 func TestHiZAndStencilRouting(t *testing.T) {
 	out := &capture{}
 	rc := New(DefaultConfig(), out)
-	rc.HiZ(0xa000, false)
-	rc.Stencil(0xb000, true)
+	rc.Access(HiZ, 0xa000, false, 0, false)
+	rc.Access(Stencil, 0xb000, true, 0, false)
 	if len(out.byKind(stream.HiZ)) != 1 {
 		t.Error("HiZ miss not forwarded")
 	}
