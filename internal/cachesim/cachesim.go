@@ -209,7 +209,7 @@ type Cache struct {
 	// sampled-set space, and sampleMap translates a full-geometry set
 	// index to its compact index (-1 = unsampled).
 	indexSets int
-	index     fastmod
+	index     Fastmod
 	sample    SetSample
 	sampleMap []int32
 	// setAcc counts accesses per sampled set, feeding the variance
@@ -259,7 +259,7 @@ func newCache(geom Geometry, policy Policy, sets int) *Cache {
 		geom:       geom,
 		sets:       sets,
 		indexSets:  geom.Sets(),
-		index:      newFastmod(uint64(geom.Sets())),
+		index:      NewFastmod(uint64(geom.Sets())),
 		ways:       geom.Ways,
 		blockShift: blockShift(geom.BlockSize),
 		policy:     policy,
@@ -313,7 +313,7 @@ func (c *Cache) BlockNumber(addr uint64) uint64 { return addr >> c.blockShift }
 // SetIndex returns the set an address maps to in the full geometry
 // (not the compact sampled index).
 func (c *Cache) SetIndex(addr uint64) int {
-	return int(c.index.mod(addr >> c.blockShift))
+	return int(c.index.Mod(addr >> c.blockShift))
 }
 
 // Lookup reports whether addr is resident and, if so, its location.
@@ -322,7 +322,7 @@ func (c *Cache) SetIndex(addr uint64) int {
 // reports (-1, -1, false).
 func (c *Cache) Lookup(addr uint64) (set, way int, ok bool) {
 	bn := c.BlockNumber(addr)
-	set = int(c.index.mod(bn))
+	set = int(c.index.Mod(bn))
 	if c.sampleMap != nil {
 		cs := c.sampleMap[set]
 		if cs < 0 {
@@ -373,7 +373,7 @@ func (c *Cache) Emit(a stream.Access) { c.Access(a) }
 // are built only when an observer is attached.
 func (c *Cache) Access(a stream.Access) bool {
 	bn := a.Addr >> c.blockShift
-	set := int(c.index.mod(bn))
+	set := int(c.index.Mod(bn))
 	if c.sampleMap != nil {
 		cs := c.sampleMap[set]
 		if cs < 0 {

@@ -18,7 +18,7 @@ import "gspc/internal/stream"
 type LRUCache struct {
 	ways       int
 	blockShift uint
-	index      fastmod
+	index      Fastmod
 	// lines holds every set's ways, set after set; the first used[set]
 	// lines of a set are its valid blocks, most recent first.
 	lines []lruLine
@@ -58,7 +58,7 @@ func NewLRUCache(geom Geometry) *LRUCache {
 	return &LRUCache{
 		ways:       geom.Ways,
 		blockShift: blockShift(geom.BlockSize),
-		index:      newFastmod(uint64(sets)),
+		index:      NewFastmod(uint64(sets)),
 		lines:      make([]lruLine, sets*geom.Ways),
 		used:       make([]int32, sets),
 		drain:      make([]int32, geom.Ways),
@@ -77,7 +77,7 @@ func (c *LRUCache) Access(a stream.Access) bool { return c.AccessRun(a, 0, false
 // leave them made one by one, and so does everything the cache sends.
 func (c *LRUCache) AccessRun(a stream.Access, repeats int64, wrote bool) bool {
 	bn := a.Addr >> c.blockShift
-	set := c.index.mod(bn)
+	set := c.index.Mod(bn)
 	base := int(set) * c.ways
 	n := int(c.used[set])
 	c.Stats.Accesses += 1 + repeats

@@ -64,7 +64,7 @@ func ReplaySourceRange(ctx context.Context, c *Cache, tr *stream.Trace, lo, hi, 
 			end = start + stride
 		}
 		for i := start; i < end; i++ {
-			if sm != nil && sm[idx.mod(addrs[i]>>shift)] < 0 {
+			if sm != nil && sm[idx.Mod(addrs[i]>>shift)] < 0 {
 				skipped++
 				continue
 			}

@@ -17,13 +17,16 @@ const BlockSize = 64
 
 // Allocator hands out non-overlapping address ranges. Distinct frames use
 // distinct allocators with the same base to model a stable per-frame heap.
+// It also keeps its surfaces' axis tables (see Surface), one per axis
+// geometry, shared by every surface of the allocator that has it.
 type Allocator struct {
-	next uint64
+	next   uint64
+	tables map[axisKey][]uint64
 }
 
 // NewAllocator returns an allocator starting at base.
 func NewAllocator(base uint64) *Allocator {
-	a := &Allocator{next: base}
+	a := &Allocator{next: base, tables: make(map[axisKey][]uint64)}
 	a.align(BlockSize)
 	return a
 }
@@ -47,21 +50,29 @@ func (a *Allocator) Used() uint64 { return a.next }
 
 // Surface is a tiled 2D pixel array. Pixels are BytesPerPixel wide and
 // grouped into tiles of TileW x TileH pixels such that one tile occupies
-// exactly one cache block; tiles are laid out row-major.
+// exactly one cache block; tiles are laid out row-major or in Morton
+// order (Layout).
 type Surface struct {
 	Base          uint64
 	Width, Height int
 	BytesPerPixel int
 
-	// Tile dimensions and the pixel size are powers of two (tileShape),
-	// so Addr splits a coordinate into tile and in-tile parts with
-	// shifts and masks: tileW = 1<<tileWShift, and so on.
-	tileWShift, tileHShift, pixelShift uint
-	tilesPerRow                        int
-	tilesPerCol                        int
+	// col[x] + row[y] is the byte offset of pixel (x, y) from Base.
+	// Both tile orders split a tile's index into a column part and a
+	// row part (ty·tilesPerRow + tx, and interleave(tx) |
+	// interleave(ty)<<1), and so does a pixel's position in its tile,
+	// so one table per axis holds the whole address arithmetic. The
+	// allocator shares each table among its surfaces of one axis
+	// geometry.
+	col, row []uint64
 
-	layout     Layout
-	mortonSide int
+	tilesPerRow, tilesPerCol int
+	mortonSide               int
+
+	// Tile dimensions and the pixel size are powers of two (tileShape):
+	// tileW = 1<<tileWShift, and so on.
+	tileWShift, tileHShift, pixelShift uint8
+	layout                             Layout
 }
 
 // tileShape returns the tile dimensions for a pixel size: 4x4 for 32-bit
@@ -83,8 +94,17 @@ func tileShape(bpp int) (w, h int) {
 	}
 }
 
-// NewSurface allocates a w x h surface with the given pixel size.
+// NewSurface allocates a w x h row-major surface with the given pixel
+// size.
 func NewSurface(a *Allocator, w, h, bpp int) *Surface {
+	return NewSurfaceLayout(a, w, h, bpp, LayoutRowMajor)
+}
+
+// NewSurfaceLayout allocates a w x h surface with the given pixel size
+// and tile layout. Morton surfaces round their tile grid up to a
+// power-of-two square so the index space is dense enough to be
+// collision-free; the padding is address space only.
+func NewSurfaceLayout(a *Allocator, w, h, bpp int, layout Layout) *Surface {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("memmap: invalid surface %dx%d", w, h))
 	}
@@ -93,14 +113,68 @@ func NewSurface(a *Allocator, w, h, bpp int) *Surface {
 		Width:         w,
 		Height:        h,
 		BytesPerPixel: bpp,
-		tileWShift:    uint(bits.TrailingZeros(uint(tw))),
-		tileHShift:    uint(bits.TrailingZeros(uint(th))),
-		pixelShift:    uint(bits.TrailingZeros(uint(bpp))),
+		tileWShift:    uint8(bits.TrailingZeros(uint(tw))),
+		tileHShift:    uint8(bits.TrailingZeros(uint(th))),
+		pixelShift:    uint8(bits.TrailingZeros(uint(bpp))),
 		tilesPerRow:   (w + tw - 1) / tw,
 		tilesPerCol:   (h + th - 1) / th,
 	}
 	s.Base = a.Alloc(uint64(s.tilesPerRow*s.tilesPerCol) * BlockSize)
+	if layout == LayoutMorton {
+		side := 1
+		for side < s.tilesPerRow || side < s.tilesPerCol {
+			side <<= 1
+		}
+		s.layout = LayoutMorton
+		s.mortonSide = side
+		// Re-allocate with the padded footprint: the row-major
+		// allocation is abandoned (bump allocator; the region stays
+		// unused).
+		s.Base = a.Alloc(uint64(side*side) * BlockSize)
+	}
+	s.col = a.table(s, false)
+	s.row = a.table(s, true)
 	return s
+}
+
+// axisKey names an axis table by everything its entries depend on: a
+// column table on the width, the pixel size (which fixes the tile
+// shape) and the layout; a row table on the height, the pixel size, the
+// layout and the tiles per row (a row-major surface's row stride).
+type axisKey struct {
+	n           int
+	tilesPerRow int // row tables only
+	bpp         uint8
+	layout      Layout
+	rows        bool
+}
+
+// table returns s's row or column table. The first surface of the
+// allocator with its geometry fills it from the tile arithmetic: a
+// pixel's tile index and in-tile position, each split into the part
+// that moves with the axis.
+func (a *Allocator) table(s *Surface, rows bool) []uint64 {
+	k := axisKey{n: s.Width, bpp: uint8(s.BytesPerPixel), layout: s.layout}
+	if rows {
+		k.rows, k.n, k.tilesPerRow = true, s.Height, s.tilesPerRow
+	}
+	if t, ok := a.tables[k]; ok {
+		return t
+	}
+	t := make([]uint64, k.n)
+	for i := range t {
+		var tile, inTile int
+		if rows {
+			tile = s.tileIndex(0, i>>s.tileHShift)
+			inTile = (i & (1<<s.tileHShift - 1)) << s.tileWShift
+		} else {
+			tile = s.tileIndex(i>>s.tileWShift, 0)
+			inTile = i & (1<<s.tileWShift - 1)
+		}
+		t[i] = uint64(tile*BlockSize + inTile<<s.pixelShift)
+	}
+	a.tables[k] = t
+	return t
 }
 
 // SizeBytes returns the allocated footprint (including any Morton
@@ -133,18 +207,15 @@ func clamp(v, n int) int {
 // Addr returns the byte address of pixel (x, y), clamping coordinates to
 // the surface (texture samplers clamp at edges).
 func (s *Surface) Addr(x, y int) uint64 {
-	x = clamp(x, s.Width)
-	y = clamp(y, s.Height)
-	tile := s.tileIndex(x>>s.tileWShift, y>>s.tileHShift)
-	inTile := (y&(1<<s.tileHShift-1))<<s.tileWShift | x&(1<<s.tileWShift-1)
-	return s.Base + uint64(tile*BlockSize+inTile<<s.pixelShift)
+	return s.Base + s.col[clamp(x, len(s.col))] + s.row[clamp(y, len(s.row))]
 }
 
-// TileAddr returns the block address of tile (tx, ty).
+// TileAddr returns the block address of tile (tx, ty): the address of
+// its first pixel.
 func (s *Surface) TileAddr(tx, ty int) uint64 {
 	tx = clamp(tx, s.tilesPerRow)
 	ty = clamp(ty, s.tilesPerCol)
-	return s.Base + uint64(s.tileIndex(tx, ty)*BlockSize)
+	return s.Base + s.col[tx<<s.tileWShift] + s.row[ty<<s.tileHShift]
 }
 
 // Contains reports whether addr falls inside the surface allocation.

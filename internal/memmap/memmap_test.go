@@ -262,6 +262,58 @@ func TestSurfaceAddrProperty(t *testing.T) {
 	}
 }
 
+// Property: surfaces built from one allocator share its axis tables
+// wherever their geometry agrees, and each still matches refAddr,
+// including past either edge. Each drawn shape adds four surfaces to
+// the allocator: the shape itself, one of equal width and another
+// height, one of equal height and another width (another row stride),
+// and the same size in the other layout. Sizes are small, so shapes
+// also collide with one another across pixel sizes and layouts.
+func TestSharedTablesProperty(t *testing.T) {
+	type shape struct {
+		W, H, W2, H2, BppSel uint8
+		Morton               bool
+	}
+	f := func(shapes []shape, xs, ys []int16) bool {
+		a := NewAllocator(0x100000)
+		var ss []*Surface
+		for _, sh := range shapes {
+			w, h := int(sh.W%48)+1, int(sh.H%48)+1
+			w2, h2 := int(sh.W2%48)+1, int(sh.H2%48)+1
+			bpp := 1 << (sh.BppSel % 5)
+			layout, other := LayoutRowMajor, LayoutMorton
+			if sh.Morton {
+				layout, other = other, layout
+			}
+			ss = append(ss,
+				NewSurfaceLayout(a, w, h, bpp, layout),
+				NewSurfaceLayout(a, w, h2, bpp, layout),
+				NewSurfaceLayout(a, w2, h, bpp, layout),
+				NewSurfaceLayout(a, w, h, bpp, other))
+		}
+		coords := func(raw []int16, n int) []int {
+			cs := []int{-1 << 40, -1, 0, n - 1, n, 1 << 40}
+			for _, v := range raw {
+				cs = append(cs, int(v)%(n+2)) // -n-1 … n+1
+			}
+			return cs
+		}
+		for _, s := range ss {
+			for _, x := range coords(xs, s.Width) {
+				for _, y := range coords(ys, s.Height) {
+					if s.Addr(x, y) != refAddr(s, x, y) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: distinct in-bounds pixels within the same surface never map
 // to overlapping byte ranges (addresses differ for distinct pixels).
 func TestSurfacePixelAddrUniqueProperty(t *testing.T) {

@@ -37,29 +37,9 @@ func mortonIndex(tx, ty int) int {
 	return int(mortonInterleave(uint32(tx)) | mortonInterleave(uint32(ty))<<1)
 }
 
-// NewSurfaceLayout allocates a surface with an explicit tile layout.
-// Morton surfaces round their tile grid up to a power-of-two square so
-// the index space is dense enough to be collision-free; the padding is
-// address space only.
-func NewSurfaceLayout(a *Allocator, w, h, bpp int, layout Layout) *Surface {
-	s := NewSurface(a, w, h, bpp)
-	if layout != LayoutMorton {
-		return s
-	}
-	side := 1
-	for side < s.tilesPerRow || side < s.tilesPerCol {
-		side <<= 1
-	}
-	s.layout = LayoutMorton
-	s.mortonSide = side
-	// Re-allocate with the padded footprint: the original allocation is
-	// abandoned (bump allocator; the region stays unused).
-	s.Base = a.Alloc(uint64(side*side) * BlockSize)
-	return s
-}
-
 // tileIndex returns the linear block index of tile (tx, ty) under the
-// surface's layout.
+// surface's layout. It fills the axis tables (Allocator.table); Addr
+// and TileAddr read those.
 func (s *Surface) tileIndex(tx, ty int) int {
 	if s.layout == LayoutMorton {
 		return mortonIndex(tx, ty)

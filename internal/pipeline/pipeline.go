@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"gspc/internal/cachesim"
 	"gspc/internal/memmap"
 	"gspc/internal/rendercache"
 	"gspc/internal/xrand"
@@ -130,12 +131,22 @@ const ZBytesPerPixel = 1
 // level, which dominates traffic).
 const HiZBytesPerEntry = 8
 
-// texCtx is the per-patch sampling state of one bound texture.
+// texCtx is the per-draw sampling state of one bound texture.
 type texCtx struct {
-	level0 *memmap.Surface
-	level1 *memmap.Surface
-	u0, v0 float64
-	scale  float64
+	level0, level1 texLevel // level1 binds no surface unless trilinear
+	u0, v0         float64
+	scale          float64
+}
+
+// texLevel is a MIP level bound for sampling, with exact reciprocal
+// remainders by its width and height, so wrapping a tap divides nothing.
+type texLevel struct {
+	s    *memmap.Surface
+	w, h cachesim.Fastmod
+}
+
+func bindLevel(s *memmap.Surface) texLevel {
+	return texLevel{s: s, w: cachesim.NewFastmod(uint64(s.Width)), h: cachesim.NewFastmod(uint64(s.Height))}
 }
 
 // Renderer executes frames against a render cache complex.
@@ -331,9 +342,9 @@ func (r *Renderer) renderDraw(f *Frame, p *Pass, d *Draw, rng *xrand.RNG) {
 	for i, tb := range d.Textures {
 		lod, frac := lodOf(tb.Scale)
 		lv0 := tb.Texture.Level(lod)
-		var lv1 *memmap.Surface
+		var lv1 texLevel
 		if tb.Trilinear && frac > 0.25 && lod+1 < tb.Texture.NumLevels() {
-			lv1 = tb.Texture.Level(lod + 1)
+			lv1 = bindLevel(tb.Texture.Level(lod + 1))
 		}
 		step := tb.Scale / float64(int(1)<<lod)
 		u0 := rng.Float64() * float64(lv0.Width)
@@ -342,7 +353,7 @@ func (r *Renderer) renderDraw(f *Frame, p *Pass, d *Draw, rng *xrand.RNG) {
 			u0 = tb.U0 * float64(lv0.Width)
 			v0 = tb.V0 * float64(lv0.Height)
 		}
-		texs[i] = texCtx{level0: lv0, level1: lv1, u0: u0, v0: v0, scale: step}
+		texs[i] = texCtx{level0: bindLevel(lv0), level1: lv1, u0: u0, v0: v0, scale: step}
 	}
 
 	patches := d.Patches
@@ -500,9 +511,9 @@ func (r *Renderer) shadePixel(p *Pass, d *Draw, texs []texCtx, x, y int, rng *xr
 		t := &texs[i]
 		u := t.u0 + float64(x)*t.scale
 		v := t.v0 + float64(y)*t.scale
-		r.sampleBilinear(t.level0, u, v)
-		if t.level1 != nil {
-			r.sampleBilinear(t.level1, u/2, v/2)
+		r.sampleBilinear(&t.level0, u, v)
+		if t.level1.s != nil {
+			r.sampleBilinear(&t.level1, u/2, v/2)
 		}
 	}
 
@@ -532,10 +543,11 @@ func (r *Renderer) shadePixel(p *Pass, d *Draw, texs []texCtx, x, y int, rng *xr
 }
 
 // sampleBilinear issues the four taps of a bilinear filter with wrap
-// addressing on the given MIP level surface. Each axis wraps once: the
-// second tap is the first plus one, wrapped past the edge to zero.
-func (r *Renderer) sampleBilinear(s *memmap.Surface, u, v float64) {
-	u0, v0 := wrap(int(u), s.Width), wrap(int(v), s.Height)
+// addressing on the given MIP level. Each axis wraps once: the second
+// tap is the first plus one, wrapped past the edge to zero.
+func (r *Renderer) sampleBilinear(l *texLevel, u, v float64) {
+	s := l.s
+	u0, v0 := wrap(int(u), s.Width, l.w), wrap(int(v), s.Height, l.h)
 	u1, v1 := u0+1, v0+1
 	if u1 == s.Width {
 		u1 = 0
@@ -550,12 +562,13 @@ func (r *Renderer) sampleBilinear(s *memmap.Surface, u, v float64) {
 	r.req(s.Addr(u1, v1), opTexture)
 }
 
-func wrap(v, n int) int {
-	v %= n
-	if v < 0 {
-		v += n
-	}
-	return v
+// wrap returns v modulo n in [0, n), where m reduces modulo n: exact
+// for every v, with no division. A negative v reduces through
+// ^v = -v-1 ≥ 0, since v mod n = n-1 - (^v mod n); the sign mask s
+// selects that form without a branch.
+func wrap(v, n int, m cachesim.Fastmod) int {
+	s := v >> 63
+	return (int(m.Mod(uint64(v^s))) ^ s) + n&s
 }
 
 // lodOf converts a texel-to-pixel scale into a MIP level and the

@@ -1,11 +1,14 @@
 package pipeline
 
 import (
+	"math"
 	"testing"
 
+	"gspc/internal/cachesim"
 	"gspc/internal/memmap"
 	"gspc/internal/rendercache"
 	"gspc/internal/stream"
+	"gspc/internal/xrand"
 )
 
 // buildTestFrame constructs a minimal two-pass frame: a geometry pass
@@ -273,9 +276,41 @@ func TestLodOf(t *testing.T) {
 	}
 }
 
+// Property: wrap matches v % n with the negative fix-up. The sizes are
+// 1, every power of two and odd sizes up to 4096; v runs over random
+// values in ±2^40 and, with either sign, the edges 0, n-1, n, k·n±1,
+// 2^32±1 and the int64 extremes.
 func TestWrap(t *testing.T) {
-	if wrap(5, 4) != 1 || wrap(-1, 4) != 3 || wrap(4, 4) != 0 || wrap(3, 4) != 3 {
-		t.Error("wrap arithmetic wrong")
+	ref := func(v, n int) int {
+		if v %= n; v < 0 {
+			v += n
+		}
+		return v
+	}
+	rng := xrand.New(23)
+	ns := []int{3, 5, 7, 255, 257, 1023, 1025, 4095}
+	for n := 1; n <= 4096; n <<= 1 {
+		ns = append(ns, n)
+	}
+	for range 16 {
+		ns = append(ns, rng.Intn(2048)*2+1)
+	}
+	for _, n := range ns {
+		m := cachesim.NewFastmod(uint64(n))
+		check := func(v int) {
+			if got, want := wrap(v, n, m), ref(v, n); got != want {
+				t.Fatalf("wrap(%d, %d) = %d, want %d", v, n, got, want)
+			}
+		}
+		k := (1 << 40) / n
+		for _, v := range []int{0, n - 1, n, k*n - 1, k*n + 1, 1<<32 - 1, 1<<32 + 1, math.MaxInt64} {
+			check(v)
+			check(-v)
+		}
+		check(math.MinInt64)
+		for range 2000 {
+			check(rng.Intn(1<<41+1) - 1<<40)
+		}
 	}
 }
 

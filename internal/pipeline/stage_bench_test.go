@@ -30,9 +30,11 @@ func reportPerRequest(b *testing.B, requests, entries int) {
 }
 
 // BenchmarkWorkloadBuild measures the first stage alone: building the
-// frame's passes, draws and surfaces.
+// frame's passes, draws and surfaces, with the surfaces' address tables
+// (their memory shows in B/op and allocs/op).
 func BenchmarkWorkloadBuild(b *testing.B) {
 	job := benchJob()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if len(job.Build(benchScale).Passes) == 0 {
 			b.Fatal("frame has no passes")
