@@ -170,3 +170,113 @@ func TestLRUCacheMatchesCacheWithLRU(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// pairCase is a quick-generated LRUCache with warm-up traffic, two
+// distinct blocks A and B, half the time in one set, each accessed
+// twice, and a suffix of further accesses.
+type pairCase struct {
+	Level        lruLevel
+	Warm, Suffix []stream.Access
+	// Pair is A, B, A, B: the bilinear footprint whose two rows span the
+	// same two blocks, in raster order.
+	Pair [4]stream.Access
+}
+
+// Generate implements quick.Generator. Geometries have at least two
+// ways, and traffic comes from a pool of up to twice as many blocks as
+// the cache holds, so warm-up fills sets and the pair and the suffix
+// evict.
+func (pairCase) Generate(r *rand.Rand, size int) reflect.Value {
+	var c pairCase
+	for c.Level.Geom.Ways < 2 {
+		c.Level.Geom = randomGeometry(r)
+	}
+	c.Level.NoFetchOnWrite = r.Intn(2) == 0
+	c.Level.WritebackKind = stream.Kind(r.Intn(int(stream.NumKinds)))
+	g := c.Level.Geom
+	pool := uint64(1 + r.Intn(2*g.Ways*g.Sets()))
+	base := r.Uint64() >> 16
+	access := func(bn uint64) stream.Access {
+		return stream.Access{
+			Addr:  bn*uint64(g.BlockSize) + uint64(r.Intn(g.BlockSize)),
+			Kind:  stream.Kind(r.Intn(int(stream.NumKinds))),
+			Write: r.Intn(2) == 0,
+		}
+	}
+	for range r.Intn(4 * g.Ways * g.Sets()) {
+		c.Warm = append(c.Warm, access(base+uint64(r.Int63n(int64(pool)))))
+	}
+	a := base + uint64(r.Int63n(int64(pool)))
+	b := a + uint64(g.Sets())*uint64(1+r.Intn(4))
+	if r.Intn(2) == 0 {
+		b = a + 1 + uint64(r.Intn(3*g.Sets()))
+	}
+	kind := stream.Kind(r.Intn(int(stream.NumKinds)))
+	for i, bn := range []uint64{a, b, a, b} {
+		c.Pair[i] = access(bn)
+		c.Pair[i].Kind = kind
+	}
+	for range r.Intn(200) {
+		c.Suffix = append(c.Suffix, access(base+uint64(r.Int63n(int64(pool)))))
+	}
+	return reflect.ValueOf(c)
+}
+
+// runPair gives an LRUCache built from c the warm-up, the pair, either
+// in raster order as single accesses or as the runs A A and B B, the
+// suffix and a flush, and returns its hit or miss on each access, its
+// Stats and every access it sent downstream.
+func runPair(c pairCase, runs bool) (hits []bool, st cachesim.Stats, out []stream.Access) {
+	cache := cachesim.NewLRUCache(c.Level.Geom)
+	cache.NoFetchOnWrite, cache.WritebackKind = c.Level.NoFetchOnWrite, c.Level.WritebackKind
+	cache.Downstream = stream.SinkFunc(func(a stream.Access) { out = append(out, a) })
+	for _, a := range c.Warm {
+		hits = append(hits, cache.Access(a))
+	}
+	p := c.Pair
+	if runs {
+		// Outcomes in raster order: a run's repeat always hits.
+		ha := cache.AccessRun(p[0], 1, p[2].Write)
+		hb := cache.AccessRun(p[1], 1, p[3].Write)
+		hits = append(hits, ha, hb, true, true)
+	} else {
+		for _, a := range p {
+			hits = append(hits, cache.Access(a))
+		}
+	}
+	for _, a := range c.Suffix {
+		hits = append(hits, cache.Access(a))
+	}
+	cache.Flush()
+	return hits, cache.Stats, out
+}
+
+// TestLRUCachePairOrder: in an LRU cache of at least two ways, A B A B
+// made one by one and the runs A A then B B leave the same outcomes,
+// Stats and downstream accesses, through the pair and through any
+// traffic after it, flush included: the rule by which the renderer
+// issues a bilinear footprint whose rows span the same two blocks as
+// A A B B. A one-way, one-set cache tells the two orders apart, so the
+// rule needs the second way.
+func TestLRUCachePairOrder(t *testing.T) {
+	f := func(c pairCase) bool {
+		hits, st, out := runPair(c, false)
+		runHits, runSt, runOut := runPair(c, true)
+		return slices.Equal(hits, runHits) && st == runSt && slices.Equal(out, runOut)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+
+	a, b := stream.Access{Addr: 0}, stream.Access{Addr: 64}
+	oneWay := pairCase{
+		Level: lruLevel{Geom: cachesim.Geometry{SizeBytes: 64, Ways: 1, BlockSize: 64}},
+		Pair:  [4]stream.Access{a, b, a, b},
+	}
+	if _, st, _ := runPair(oneWay, false); st.Misses != 4 {
+		t.Errorf("one way, A B A B: %d misses, want 4", st.Misses)
+	}
+	if _, st, _ := runPair(oneWay, true); st.Misses != 2 {
+		t.Errorf("one way, A A B B: %d misses, want 2", st.Misses)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"gspc/internal/cachesim"
 	"gspc/internal/memmap"
 	"gspc/internal/pipeline"
 	"gspc/internal/rendercache"
@@ -14,6 +15,13 @@ import (
 // returns the LLC accesses of the given kinds, in order, one word each:
 // the kind's name, with "+wb" for a writeback.
 func llcKinds(f *pipeline.Frame, kinds ...stream.Kind) string {
+	out, _ := llcKindsWith(rendercache.DefaultConfig(), f, kinds...)
+	return out
+}
+
+// llcKindsWith is llcKinds through a complex built from cfg, which it
+// also returns.
+func llcKindsWith(cfg rendercache.Config, f *pipeline.Frame, kinds ...stream.Kind) (string, *rendercache.Complex) {
 	var out []string
 	sink := stream.SinkFunc(func(a stream.Access) {
 		for _, k := range kinds {
@@ -26,8 +34,9 @@ func llcKinds(f *pipeline.Frame, kinds ...stream.Kind) string {
 			}
 		}
 	})
-	pipeline.NewRenderer(rendercache.New(rendercache.DefaultConfig(), sink)).RenderFrame(f)
-	return strings.Join(out, " ")
+	rc := rendercache.New(cfg, sink)
+	pipeline.NewRenderer(rc).RenderFrame(f)
+	return strings.Join(out, " "), rc
 }
 
 // foldFrame returns an 8x8 frame of the given passes, each of whose
@@ -94,4 +103,54 @@ func TestFoldBoundaries(t *testing.T) {
 			t.Errorf("LLC stream\n got %s\nwant %s", got, want)
 		}
 	})
+}
+
+// TestBilinearGrouping: a footprint whose two rows span the same two
+// blocks reaches a texture L1 of at least two ways as two runs, and a
+// one-way L1 in raster order. An 8x8 depth-only pass samples an 8x4
+// texture of two 4x4 tiles side by side, one 64-byte block each (A and
+// B), at one texel position for every pixel: the footprint's left taps
+// lie in A's last column and its right taps in B's first, on rows 1 and
+// 2, so each pixel makes A B A B in raster order. The expected streams
+// and counts follow from the frame by hand.
+func TestBilinearGrouping(t *testing.T) {
+	alloc := memmap.NewAllocator(0x100000)
+	z := memmap.NewSurface(alloc, 8, 8, pipeline.ZBytesPerPixel)
+	tex := memmap.NewTexture(alloc, 8, 4, 4, 1)
+	sample := pipeline.TextureBinding{Texture: tex, Scale: 0, Aligned: true, U0: 3.0 / 8, V0: 1.0 / 4}
+	f := foldFrame(alloc, memmap.NewSurface(alloc, 8, 8, 4), &pipeline.Pass{Depth: z, Draws: fullDraw(sample)})
+	const pixels = 64
+
+	oneWay := rendercache.DefaultConfig()
+	oneWay.TexL1 = cachesim.Geometry{SizeBytes: 64, Ways: 1, BlockSize: 64}
+	for _, c := range []struct {
+		name string
+		cfg  rendercache.Config
+		// entries is the texture port's batch entries, and misses its
+		// L1 misses: with two or more ways, A A B B, two runs per pixel
+		// and a miss each for A and B; with one way, A B A B, no tap
+		// repeating the one before it and none finding its block.
+		entries int
+		misses  int64
+	}{
+		{"16-way", rendercache.DefaultConfig(), 2 * pixels, 2},
+		{"one-way", oneWay, 4 * pixels, 4 * pixels},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := pipeline.RecordRequests(f, c.cfg).Entries(rendercache.Texture); got != c.entries {
+				t.Errorf("texture entries %d, want %d", got, c.entries)
+			}
+			// The LLC sees A and B fetched once each either way: the L2
+			// behind a one-way L1 catches its misses.
+			got, rc := llcKindsWith(c.cfg, f, stream.Other, stream.Z, stream.Texture)
+			if want := "other other other other z texture texture z+wb"; got != want {
+				t.Errorf("LLC stream\n got %s\nwant %s", got, want)
+			}
+			st := rc.Stats()["texL1"]
+			if st.Accesses != 4*pixels || st.Misses != c.misses || st.Hits != 4*pixels-c.misses {
+				t.Errorf("texture L1: %d accesses, %d hits, %d misses; want %d, %d, %d",
+					st.Accesses, st.Hits, st.Misses, 4*pixels, 4*pixels-c.misses, c.misses)
+			}
+		})
+	}
 }

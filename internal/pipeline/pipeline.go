@@ -161,6 +161,12 @@ type Renderer struct {
 
 	// memo holds a memo per port, indexed by port.
 	memo [rendercache.NumPorts]memo
+	// texByBlock says the texture port's cache has at least two ways, so
+	// sampleBilinear may group a footprint's taps by block.
+	texByBlock bool
+	// texs holds the sampling state of the current draw's textures,
+	// reused from draw to draw.
+	texs []texCtx
 
 	// PixelsShaded counts pixels that survived depth testing and were
 	// shaded; exported for workload calibration tests.
@@ -183,14 +189,14 @@ type memo struct {
 const noBlock = ^uint64(0)
 
 // NewRenderer returns a renderer emitting into rc. A renderer whose rc
-// is nil only records requests, folding them at the default geometry's
-// block sizes.
+// is nil only records requests, folding and grouping them as for the
+// default geometry.
 func NewRenderer(rc *rendercache.Complex) *Renderer {
 	cfg := rendercache.DefaultConfig()
 	if rc != nil {
 		cfg = rc.Config()
 	}
-	r := &Renderer{rc: rc}
+	r := &Renderer{rc: rc, texByBlock: cfg.Geometry(rendercache.Texture).Ways >= 2}
 	for p := range rendercache.NumPorts {
 		r.memo[p].shift = uint8(bits.TrailingZeros(uint(cfg.Geometry(p).BlockSize)))
 	}
@@ -338,8 +344,8 @@ func (r *Renderer) renderDraw(f *Frame, p *Pass, d *Draw, rng *xrand.RNG) {
 	// in a texture is coherent and two draws overlap only where their
 	// screen coverage (aligned sources) or random origins (materials)
 	// overlap.
-	texs := make([]texCtx, len(d.Textures))
-	for i, tb := range d.Textures {
+	texs := r.texs[:0]
+	for _, tb := range d.Textures {
 		lod, frac := lodOf(tb.Scale)
 		lv0 := tb.Texture.Level(lod)
 		var lv1 texLevel
@@ -353,8 +359,9 @@ func (r *Renderer) renderDraw(f *Frame, p *Pass, d *Draw, rng *xrand.RNG) {
 			u0 = tb.U0 * float64(lv0.Width)
 			v0 = tb.V0 * float64(lv0.Height)
 		}
-		texs[i] = texCtx{level0: bindLevel(lv0), level1: lv1, u0: u0, v0: v0, scale: step}
+		texs = append(texs, texCtx{level0: bindLevel(lv0), level1: lv1, u0: u0, v0: v0, scale: step})
 	}
+	r.texs = texs
 
 	patches := d.Patches
 	if patches < 1 {
@@ -545,6 +552,15 @@ func (r *Renderer) shadePixel(p *Pass, d *Draw, texs []texCtx, x, y int, rng *xr
 // sampleBilinear issues the four taps of a bilinear filter with wrap
 // addressing on the given MIP level. Each axis wraps once: the second
 // tap is the first plus one, wrapped past the edge to zero.
+//
+// The taps go in raster order, except when both rows span the same two
+// blocks A and B of the texture port's cache: then they go A A B B
+// instead of A B A B. Both orders touch A first and B last, so in an
+// LRU cache of at least two ways, where the first A is still resident
+// when the second comes, they leave the same hits, recency, Stats and
+// downstream accesses. A one-way cache can tell them apart, so a
+// renderer for one keeps raster order. A tap that names the previous
+// tap's block goes through repeat, with no memo lookup.
 func (r *Renderer) sampleBilinear(l *texLevel, u, v float64) {
 	s := l.s
 	u0, v0 := wrap(int(u), s.Width, l.w), wrap(int(v), s.Height, l.h)
@@ -555,11 +571,30 @@ func (r *Renderer) sampleBilinear(l *texLevel, u, v float64) {
 	if v1 == s.Height {
 		v1 = 0
 	}
+	t0, t1, t2, t3 := s.Addr(u0, v0), s.Addr(u1, v0), s.Addr(u0, v1), s.Addr(u1, v1)
+	sh := r.memo[opTexture].shift
+	b0, b1, b2, b3 := t0>>sh, t1>>sh, t2>>sh, t3>>sh
+	if r.texByBlock && b2 == b0 && b3 == b1 && b1 != b0 {
+		t1, t2 = t2, t1
+		b1, b2 = b2, b1
+	}
 	r.room(4)
-	r.req(s.Addr(u0, v0), opTexture)
-	r.req(s.Addr(u1, v0), opTexture)
-	r.req(s.Addr(u0, v1), opTexture)
-	r.req(s.Addr(u1, v1), opTexture)
+	r.req(t0, opTexture)
+	if b1 == b0 {
+		r.repeat(opTexture)
+	} else {
+		r.req(t1, opTexture)
+	}
+	if b2 == b1 {
+		r.repeat(opTexture)
+	} else {
+		r.req(t2, opTexture)
+	}
+	if b3 == b2 {
+		r.repeat(opTexture)
+	} else {
+		r.req(t3, opTexture)
+	}
 }
 
 // wrap returns v modulo n in [0, n), where m reduces modulo n: exact

@@ -16,10 +16,6 @@ const benchScale = 0.15
 
 func benchJob() workload.FrameJob { return workload.Suite()[14] }
 
-func benchFrame() *pipeline.Frame { return benchJob().Build(benchScale) }
-
-var benchConfig = rendercache.DefaultConfig().Scaled(benchScale)
-
 // reportPerRequest reports the time per render-cache request the frame
 // makes, whether it got a batch entry of its own or was folded into an
 // earlier one's run, and the number of entries.
@@ -45,28 +41,41 @@ func BenchmarkWorkloadBuild(b *testing.B) {
 // BenchmarkRenderRequests measures the rasterizing stage alone: the
 // renderer encoding a frame's render-cache requests into an apply stage
 // that discards them.
-func BenchmarkRenderRequests(b *testing.B) {
-	f := benchFrame()
-	requests, _ := pipeline.RecordRequests(f, benchConfig).Len()
-	rc := rendercache.New(benchConfig, nil)
-	var entries int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		entries = pipeline.RenderDiscarding(pipeline.NewRenderer(rc), f)
-	}
-	reportPerRequest(b, requests, entries)
-}
+func BenchmarkRenderRequests(b *testing.B) { benchRenderRequests(b, benchScale) }
 
 // BenchmarkRenderCacheApply measures the filtering stage alone: a
 // frame's recorded request stream applied to a fresh render-cache
 // complex whose LLC emissions are discarded.
-func BenchmarkRenderCacheApply(b *testing.B) {
-	q := pipeline.RecordRequests(benchFrame(), benchConfig)
+func BenchmarkRenderCacheApply(b *testing.B) { benchRenderCacheApply(b, benchScale) }
+
+// BenchmarkRenderRequestsScale1 and BenchmarkRenderCacheApplyScale1 run
+// the two stages on the same frame at scale 1, where a query-cold
+// sampled op renders its prefix: there the render caches have their
+// full size, the texture L1 eight sets instead of one. The recorded
+// stream the apply bench replays is ~31 M entries, about 525 MB.
+func BenchmarkRenderRequestsScale1(b *testing.B) { benchRenderRequests(b, 1) }
+
+func BenchmarkRenderCacheApplyScale1(b *testing.B) { benchRenderCacheApply(b, 1) }
+
+func benchRenderRequests(b *testing.B, scale float64) {
+	f := benchJob().Build(scale)
+	rc := rendercache.New(rendercache.DefaultConfig().Scaled(scale), nil)
+	var requests, entries int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		requests, entries = pipeline.RenderDiscarding(pipeline.NewRenderer(rc), f)
+	}
+	reportPerRequest(b, requests, entries)
+}
+
+func benchRenderCacheApply(b *testing.B, scale float64) {
+	cfg := rendercache.DefaultConfig().Scaled(scale)
+	q := pipeline.RecordRequests(benchJob().Build(scale), cfg)
 	discard := stream.SinkFunc(func(stream.Access) {})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		rc := rendercache.New(benchConfig, discard)
+		rc := rendercache.New(cfg, discard)
 		b.StartTimer()
 		q.Apply(rc)
 	}
