@@ -299,6 +299,21 @@ func BenchmarkLLCAccessBeladyPacked(b *testing.B) {
 	benchReplayPacked(b, func() cachesim.Policy { return belady.NewOPT(next) }, false)
 }
 
+// BenchmarkBeladyNextUse times Belady's preprocessing, the next-use
+// chain of the packed bench trace that BenchmarkLLCAccessBeladyPacked
+// builds outside its timer, with its allocation per call.
+func BenchmarkBeladyNextUse(b *testing.B) {
+	tr := benchPacked()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(belady.NextUseTrace(tr, 6)) != tr.Len() {
+			b.Fatal("short next-use chain")
+		}
+	}
+	b.ReportMetric(float64(tr.Len()), "accesses/op")
+}
+
 // BenchmarkTraceGenerationPacked measures the same synthesis reusing one
 // packed buffer across iterations, the way the ablation sweeps do.
 func BenchmarkTraceGenerationPacked(b *testing.B) {

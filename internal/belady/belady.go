@@ -9,6 +9,7 @@ package belady
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"gspc/internal/cachesim"
 	"gspc/internal/stream"
@@ -22,20 +23,67 @@ const Never = int64(math.MaxInt64)
 // i, or Never. Blocks are formed by shifting addresses right by
 // blockShift bits. Only the address column is read; positions are the
 // sequence numbers by construction.
+//
+// The trace is walked backward, and the latest position seen of each
+// block is kept in an open-addressed, linearly probed table of int32
+// slots: a slot holds a position plus one, and 0 marks it empty. A
+// slot's block is read back from the address column, so the table
+// stores no keys, and rehashing it on growth reads the same column. Its
+// slot count starts at the first power of two at least the trace's
+// length and doubles whenever more than half its slots are taken, which
+// only a trace of mostly distinct blocks reaches. It panics on a trace of
+// math.MaxInt32 records or more, whose positions do not fit a slot.
 func NextUseTrace(t *stream.Trace, blockShift uint) []int64 {
-	n := t.Len()
+	addrs, _ := t.Records()
+	n := len(addrs)
+	if n >= math.MaxInt32 {
+		panic(fmt.Sprintf("belady: a trace of %d records is too long for int32 next-use slots", n))
+	}
 	out := make([]int64, n)
-	last := make(map[uint64]int64, n/4+1)
+	shift := uint(64 - bits.Len(uint(max(n, 2)-1)))
+	slots := make([]int32, 1<<(64-shift))
+	used := 0
 	for i := n - 1; i >= 0; i-- {
-		bn := t.Addr(i) >> blockShift
-		if j, ok := last[bn]; ok {
-			out[i] = j
-		} else {
-			out[i] = Never
+		bn := addrs[i] >> blockShift
+		h := int(bn * fibonacci >> shift)
+		for slots[h] != 0 && addrs[slots[h]-1]>>blockShift != bn {
+			h = (h + 1) & (len(slots) - 1)
 		}
-		last[bn] = int64(i)
+		out[i] = Never
+		if s := slots[h]; s != 0 {
+			out[i] = int64(s - 1)
+		} else {
+			used++
+		}
+		slots[h] = int32(i + 1)
+		if 2*used > len(slots) {
+			shift--
+			slots = rehash(slots, addrs, blockShift, shift)
+		}
 	}
 	return out
+}
+
+// fibonacci is 2^64 divided by the golden ratio; a block's home slot is
+// the top bits of the block number times it.
+const fibonacci = 0x9e3779b97f4a7c15
+
+// rehash returns a table of 1<<(64-shift) slots holding every position
+// of slots, each at the first free slot from its block's home.
+func rehash(slots []int32, addrs []uint64, blockShift, shift uint) []int32 {
+	grown := make([]int32, 1<<(64-shift))
+	mask := len(grown) - 1
+	for _, s := range slots {
+		if s == 0 {
+			continue
+		}
+		h := int((addrs[s-1] >> blockShift) * fibonacci >> shift)
+		for grown[h] != 0 {
+			h = (h + 1) & mask
+		}
+		grown[h] = s
+	}
+	return grown
 }
 
 // OPT is Belady's optimal policy. Each access presented to the cache must

@@ -2,6 +2,8 @@ package belady
 
 import (
 	"context"
+	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -66,21 +68,65 @@ func bruteNextUse(tr *stream.Trace, shift uint) []int64 {
 	return out
 }
 
+// TestNextUseProperty holds NextUseTrace to bruteNextUse on dense
+// traces (32 blocks, several records each) and on sparse ones, whose
+// blocks lie a large power of two apart from a random base. It also
+// demands, on the sparse traces, that some block's probe ran past its
+// home slot and wrapped around the end of the table.
 func TestNextUseProperty(t *testing.T) {
-	f := func(blocks []uint8) bool {
-		tr := mkTrace(8, blocksOf(blocks, 256)...)
-		got := NextUseTrace(tr, 6)
-		want := bruteNextUse(tr, 6)
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+	same := func(tr *stream.Trace) bool {
+		return slices.Equal(NextUseTrace(tr, 6), bruteNextUse(tr, 6))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	dense := func(blocks []uint8) bool { return same(mkTrace(8, blocksOf(blocks, 256)...)) }
+	if err := quick.Check(dense, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+	wrapped := 0
+	sparse := func(blocks []uint8, base uint32, stride uint8) bool {
+		bns := blocksOf(blocks, 64)
+		for i := range bns {
+			bns[i] = uint64(base) + bns[i]<<(20+stride%30)
+		}
+		tr := mkTrace(64, bns...)
+		if probeWraps(bns) {
+			wrapped++
+		}
+		return same(tr)
+	}
+	if err := quick.Check(sparse, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	if wrapped == 0 {
+		t.Error("no sparse trace made a probe wrap around the table")
+	}
+}
+
+// probeWraps reports whether NextUseTrace, walking blocks backward in a
+// table of the first power of two at least len(blocks) slots (which
+// these traces, with at most 64 distinct blocks in 64 or more records
+// or few enough records, may double), sends some block's probe past the
+// table's last slot.
+func probeWraps(blocks []uint64) bool {
+	const fib = 0x9e3779b97f4a7c15 // NextUseTrace's hash multiplier
+	n := len(blocks)
+	size := 2
+	for size < n {
+		size *= 2
+	}
+	slots := map[int]uint64{}
+	for i := n - 1; i >= 0; i-- {
+		h := int(blocks[i] * fib >> (64 - bits.Len(uint(size-1))))
+		for b, ok := slots[h]; ok && b != blocks[i]; b, ok = slots[h] {
+			if h++; h == size {
+				return true
+			}
+		}
+		if _, ok := slots[h]; !ok && 2*(len(slots)+1) > size {
+			return false // the table doubles; this model stops here
+		}
+		slots[h] = blocks[i]
+	}
+	return false
 }
 
 func runTrace(t *testing.T, tr *stream.Trace, p cachesim.Policy, ways int) int64 {

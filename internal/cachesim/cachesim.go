@@ -9,8 +9,10 @@
 package cachesim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -192,11 +194,18 @@ type Cache struct {
 	// tags holds every way's block number plus one, set after set; zero
 	// marks an invalid way. The valid ways of a set always form a
 	// prefix of it: fills take the first invalid way, evictions refill
-	// the victim's way in place, and only Reset invalidates. A scan of
-	// the set therefore stops at the hit or at the first zero, which is
-	// also the way a miss fills. Block numbers are addresses shifted
-	// right by at least one bit, so the +1 never wraps.
+	// the victim's way in place, and only Reset invalidates. Block
+	// numbers are addresses shifted right by at least one bit, so the +1
+	// never wraps.
 	tags []uint64
+	// fps holds one byte per way beside tags, in rows of
+	// RowWidth(ways) bytes: 0 for an invalid way (and for the bytes
+	// that pad a row to whole words), else validBit with a 7-bit
+	// fingerprint of the way's block (see fingerprint). find reads a row
+	// eight ways per word; since the valid ways form a prefix, the first
+	// zero byte of a row is the way a miss fills, or the row's end when
+	// the set is full.
+	fps []uint8
 	// dirty is the per-way dirty bit, indexed like tags; only valid ways
 	// are ever dirty.
 	dirty  []bool
@@ -265,6 +274,7 @@ func newCache(geom Geometry, policy Policy, sets int) *Cache {
 		policy:     policy,
 	}
 	c.tags = make([]uint64, sets*c.ways)
+	c.fps = make([]uint8, sets*RowWidth(c.ways))
 	c.dirty = make([]bool, sets*c.ways)
 	policy.Reset(sets, c.ways)
 	return c
@@ -330,16 +340,46 @@ func (c *Cache) Lookup(addr uint64) (set, way int, ok bool) {
 		}
 		set = int(cs)
 	}
-	base := set * c.ways
-	for w, t := range c.tags[base : base+c.ways] {
-		if t == bn+1 {
-			return set, w, true
-		}
-		if t == 0 {
-			break
-		}
+	if way, hit := c.find(set, bn, fingerprint(bn)); hit {
+		return set, way, true
 	}
 	return set, -1, false
+}
+
+// validBit marks a valid way's fingerprint byte.
+const validBit = 0x80
+
+// fingerprint returns the byte fps holds for a way with block bn:
+// validBit and the top seven bits of the block's Fibonacci hash, which
+// depend on every bit of bn, so blocks that share a set (and so agree
+// in their low bits) still tend to differ in it.
+func fingerprint(bn uint64) uint8 { return validBit | uint8(bn*fibonacci>>57) }
+
+// find looks for block bn, whose fingerprint is fp, in set. It returns
+// the way holding it and true or, on a miss, the set's first invalid
+// way (c.ways when the set is full) and false. It reads the set's row
+// of fps a word at a time: zeroBytes of the word XOR fp in every byte
+// marks the candidate ways, and each is confirmed or rejected by its
+// full tag, since two blocks may share a fingerprint and zeroBytes may
+// mark one byte too many. Invalid and padding bytes have the top bit
+// clear and fp has it set, so neither is ever a candidate, and ^w &
+// highs marks exactly them: its lowest mark is the first invalid way.
+func (c *Cache) find(set int, bn uint64, fp uint8) (int, bool) {
+	width := RowWidth(c.ways)
+	row := c.fps[set*width : set*width+width]
+	pat := lanes * uint64(fp)
+	for i := 0; i < len(row); i += 8 {
+		w := binary.LittleEndian.Uint64(row[i:])
+		for m := zeroBytes(w ^ pat); m != 0; m &= m - 1 {
+			if way := i + bits.TrailingZeros64(m)>>3; c.tags[set*c.ways+way] == bn+1 {
+				return way, true
+			}
+		}
+		if free := ^w & highs; free != 0 {
+			return i + bits.TrailingZeros64(free)>>3, false
+		}
+	}
+	return c.ways, false
 }
 
 // BlockAt returns (tag, valid, dirty) for the block at (set, way). An
@@ -386,28 +426,19 @@ func (c *Cache) Access(a stream.Access) bool {
 	c.Stats.Accesses++
 	c.Stats.KindAccesses[a.Kind]++
 	base := set * c.ways
-	tags := c.tags[base : base+c.ways]
-
-	// One scan finds the hit or, since valid ways form a prefix, the
-	// first invalid way; way stays len(tags) when the set is full.
-	way := len(tags)
-	for w, t := range tags {
-		if t == bn+1 {
-			c.Stats.Hits++
-			c.Stats.KindHits[a.Kind]++
-			if a.Write {
-				c.dirty[base+w] = true
-			}
-			c.policy.Hit(set, w, a)
-			if len(c.observers) != 0 {
-				c.notify(Event{Type: EvHit, Access: a, Set: set, Way: w, Tag: bn})
-			}
-			return true
+	fp := fingerprint(bn)
+	way, hit := c.find(set, bn, fp)
+	if hit {
+		c.Stats.Hits++
+		c.Stats.KindHits[a.Kind]++
+		if a.Write {
+			c.dirty[base+way] = true
 		}
-		if t == 0 {
-			way = w
-			break
+		c.policy.Hit(set, way, a)
+		if len(c.observers) != 0 {
+			c.notify(Event{Type: EvHit, Access: a, Set: set, Way: way, Tag: bn})
 		}
+		return true
 	}
 
 	// Miss.
@@ -433,7 +464,7 @@ func (c *Cache) Access(a stream.Access) bool {
 	}
 
 	// Fill the first invalid way, else ask the policy for a victim.
-	if way == len(tags) {
+	if way == c.ways {
 		way = c.policy.Victim(set, a)
 		if way < 0 {
 			c.Stats.Bypasses++
@@ -445,7 +476,7 @@ func (c *Cache) Access(a stream.Access) bool {
 		if way >= c.ways {
 			panic(fmt.Sprintf("cachesim: policy %s returned way %d of %d", c.policy.Name(), way, c.ways))
 		}
-		victim, dirty := tags[way]-1, c.dirty[base+way]
+		victim, dirty := c.tags[base+way]-1, c.dirty[base+way]
 		c.Stats.Evictions++
 		if dirty {
 			c.Stats.Writebacks++
@@ -462,7 +493,8 @@ func (c *Cache) Access(a stream.Access) bool {
 		}
 	}
 
-	tags[way] = bn + 1
+	c.tags[base+way] = bn + 1
+	c.fps[set*RowWidth(c.ways)+way] = fp
 	c.dirty[base+way] = a.Write
 	c.policy.Fill(set, way, a)
 	if len(c.observers) != 0 {
@@ -494,6 +526,7 @@ func (c *Cache) DrainWritebacks() {
 // Reset invalidates all blocks, clears statistics, and resets the policy.
 func (c *Cache) Reset() {
 	clear(c.tags)
+	clear(c.fps)
 	clear(c.dirty)
 	c.Stats = Stats{}
 	clear(c.setAcc)

@@ -36,13 +36,19 @@ type testTrace struct {
 // Generate implements quick.Generator.
 func (testTrace) Generate(r *rand.Rand, size int) reflect.Value {
 	base, pool, stride := r.Uint64()>>7, 2+r.Intn(96), uint64(1+r.Intn(16))
+	return reflect.ValueOf(genRuns(r, size, func() uint64 { return base + uint64(r.Intn(pool))*stride }))
+}
+
+// genRuns draws a testTrace, plain or repeat-heavy as testTrace
+// describes, whose every run accesses a block drawn by block.
+func genRuns(r *rand.Rand, size int, block func() uint64) testTrace {
 	runs, maxRun := r.Intn(size+1), 1
 	if r.Intn(2) == 0 {
 		maxRun = 8
 	}
 	var tr testTrace
 	for range runs {
-		bn := base + uint64(r.Intn(pool))*stride
+		bn := block()
 		for range 1 + r.Intn(maxRun) {
 			tr.Accs = append(tr.Accs, stream.Access{
 				Addr:  bn<<6 | uint64(r.Intn(64)),
@@ -52,7 +58,7 @@ func (testTrace) Generate(r *rand.Rand, size int) reflect.Value {
 		}
 	}
 	tr.ResetAt = r.Intn(2*len(tr.Accs) + 1)
-	return reflect.ValueOf(tr)
+	return tr
 }
 
 // propertyCache builds a 16-set, 4-way cache with a bypassing policy,

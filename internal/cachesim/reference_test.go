@@ -1,6 +1,8 @@
 package cachesim
 
 import (
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -197,17 +199,59 @@ func (p *lruPolicy) Victim(set int, a stream.Access) int {
 	return v
 }
 
+// refTrace is a testTrace for a cache of refSets sets of 1 to 40 ways,
+// so a set's row of per-way bytes is one word, several, with or without
+// a partial last word. A third of the traces draw their blocks from a
+// pool of 2 to 2·ways+1 distinct blocks of one set whose Fibonacci
+// hashes share their top seven bits, the fingerprint the cache keeps
+// per way, so a lookup must tell them apart by their full tags.
+type refTrace struct {
+	Ways int
+	testTrace
+}
+
+const refSets = 8
+
+// Generate implements quick.Generator.
+func (refTrace) Generate(r *rand.Rand, size int) reflect.Value {
+	tr := refTrace{Ways: 1 + r.Intn(40)}
+	if r.Intn(3) != 0 {
+		tr.testTrace = testTrace{}.Generate(r, size).Interface().(testTrace)
+		return reflect.ValueOf(tr)
+	}
+	pool := sameHashTop(r, r.Intn(refSets), 2+r.Intn(2*tr.Ways))
+	tr.testTrace = genRuns(r, size, func() uint64 { return pool[r.Intn(len(pool))] })
+	return reflect.ValueOf(tr)
+}
+
+// sameHashTop returns n distinct block numbers of set (modulo refSets)
+// whose products with 2^64/φ share their top seven bits.
+func sameHashTop(r *rand.Rand, set, n int) []uint64 {
+	const fib = 0x9e3779b97f4a7c15
+	bn := (r.Uint64()>>20)*refSets + uint64(set)
+	top := bn * fib >> 57
+	pool := []uint64{bn}
+	for len(pool) < n {
+		if bn += refSets; bn*fib>>57 == top {
+			pool = append(pool, bn)
+		}
+	}
+	return pool
+}
+
 // TestAgainstReferenceModel replays random traces, plain and
-// repeat-heavy, through both models on a full and a set-sampled cache,
-// with one stream kind bypassed and optionally a policy that declines
-// victims. It demands identical hit/miss outcomes, downstream streams
+// repeat-heavy (refTrace: 8 sets of 1 to 40 ways, a third of the traces
+// on blocks that share a fingerprint), through both models on a full
+// and a set-sampled cache, with one stream kind bypassed and optionally
+// a policy that declines victims. It demands identical hit/miss
+// outcomes, downstream streams
 // and per-set access counts, and after every access identical Stats,
 // Lookup results (for the accessed address and one other), BlockAt
 // contents way by way, Occupancy, and one policy Hit call per hit. Both
 // models are Reset where the trace says.
 func TestAgainstReferenceModel(t *testing.T) {
-	f := func(tr testTrace, bypass uint8, sampled, declines bool) bool {
-		const sets, ways = 8, 4
+	f := func(tr refTrace, bypass uint8, sampled, declines bool) bool {
+		sets, ways := refSets, tr.Ways
 		var sample SetSample
 		if sampled {
 			sample = SetSample{Ratio: 2, Seed: 3}

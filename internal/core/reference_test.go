@@ -292,7 +292,7 @@ func (c *refCounters) counters() Counters {
 }
 
 // gspcTrace is a random LLC trace for a random family member,
-// geometry and parameter set: 16 to 256 sets, 2 to 16 ways, one sample
+// geometry and parameter set: 16 to 256 sets, 2 to 40 ways, one sample
 // set in 2, 4, 8 or 64, 1, 2, 4 or 8 banks and T of 1, 2, 4 or 8. It
 // runs in phases; each phase draws its blocks from a pool of its own
 // size, so some phases hit and others thrash, and its stream kinds
@@ -313,7 +313,7 @@ func (gspcTrace) Generate(r *rand.Rand, size int) reflect.Value {
 	tr := gspcTrace{
 		P:    Params{Variant: Variant(r.Intn(3)), T: pick(1, 2, 4, 8), Banks: pick(1, 2, 4, 8), SampleEvery: pick(2, 4, 8, 64)},
 		Sets: 16 + r.Intn(241),
-		Ways: 2 + r.Intn(15),
+		Ways: 2 + r.Intn(39),
 	}
 	var samples []int
 	for s := range tr.Sets {

@@ -103,8 +103,11 @@ type Pass struct {
 type Frame struct {
 	Width, Height int
 	Passes        []*Pass
-	// BackBuffer is the final displayable surface; after the last pass
-	// its blocks are emitted on the display stream.
+	// BackBuffer is the final displayable surface. Passes that target
+	// it go through the display-color port instead of the RT port, so
+	// the display stream is what that port's cache fetches and writes
+	// back for the pixels the passes write; there is no resolve step,
+	// and a back-buffer block no pass writes never reaches the LLC.
 	BackBuffer *memmap.Surface
 	// ConstBase/ConstBlocks locate the shader constant region touched
 	// per draw ("other" stream).
@@ -203,8 +206,9 @@ func NewRenderer(rc *rendercache.Complex) *Renderer {
 	return r
 }
 
-// RenderFrame executes every pass of the frame and resolves the back
-// buffer to the display stream. The render caches filter on a goroutine
+// RenderFrame executes every pass of the frame; writes to the back
+// buffer take the display-color port (see Frame.BackBuffer), and no
+// resolve follows the last pass. The render caches filter on a goroutine
 // of their own while the frame rasterizes, seeing the same requests in
 // the same order as a direct call per request would, and RenderFrame
 // returns only after every request has been applied, so the complex's

@@ -11,7 +11,11 @@ import (
 // The victim is the lowest-numbered way whose bit is clear.
 type NRU struct {
 	ways int
-	ref  []bool
+	// ref holds each set's reference bits, one byte per way (1 set, 0
+	// clear), in a row of width = cachesim.RowWidth(ways) bytes; the
+	// bytes that pad a row to whole words stay 0.
+	width int
+	ref   []uint8
 }
 
 var _ cachesim.Policy = (*NRU)(nil)
@@ -24,8 +28,8 @@ func (p *NRU) Name() string { return "NRU" }
 
 // Reset implements cachesim.Policy.
 func (p *NRU) Reset(sets, ways int) {
-	p.ways = ways
-	p.ref = make([]bool, sets*ways)
+	p.ways, p.width = ways, cachesim.RowWidth(ways)
+	p.ref = make([]uint8, sets*p.width)
 }
 
 // Hit implements cachesim.Policy.
@@ -36,31 +40,26 @@ func (p *NRU) Fill(set, way int, a stream.Access) { p.mark(set, way) }
 
 // Victim implements cachesim.Policy.
 func (p *NRU) Victim(set int, a stream.Access) int {
-	base := set * p.ways
-	for w := 0; w < p.ways; w++ {
-		if !p.ref[base+w] {
-			return w
-		}
+	row := p.row(set)
+	if w := cachesim.FirstByte(row, 0); w < p.ways {
+		return w
 	}
 	// Every bit is set only in a one-way set, where mark leaves the lone
 	// bit set: clear them all and evict way 0.
-	for w := 0; w < p.ways; w++ {
-		p.ref[base+w] = false
-	}
+	clear(row)
 	return 0
 }
 
+// mark sets way's bit and, when that leaves no bit of the set clear
+// (the first clear byte lies past the last way), clears all the others.
 func (p *NRU) mark(set, way int) {
-	base := set * p.ways
-	p.ref[base+way] = true
-	for w := 0; w < p.ways; w++ {
-		if !p.ref[base+w] {
-			return
-		}
-	}
-	for w := 0; w < p.ways; w++ {
-		if w != way {
-			p.ref[base+w] = false
-		}
+	row := p.row(set)
+	row[way] = 1
+	if cachesim.FirstByte(row, 0) >= p.ways {
+		clear(row)
+		row[way] = 1
 	}
 }
+
+// row returns set's reference bytes.
+func (p *NRU) row(set int) []uint8 { return p.ref[set*p.width : set*p.width+p.width] }

@@ -169,8 +169,9 @@ func refGSTeam(set, g int) int {
 }
 
 // rripTrace is a random LLC trace with a random geometry: 64 to 256
-// sets, so that leader sets of both teams exist, 2 to 16 ways and a 2-
-// or 4-bit RRPV. It runs in phases; each phase draws its blocks from a
+// sets, so that leader sets of both teams exist, 2 to 40 ways (so a
+// set's RRPV row is one word, several, with or without a partial last
+// word) and a 2- or 4-bit RRPV. It runs in phases; each phase draws its blocks from a
 // pool of its own size, so some phases hit and others thrash, sends
 // half its accesses to sets of one leader residue (DRRIP's or a GS-DRRIP
 // group's) to move that duel's selector, and may fix the stream kind.
@@ -183,7 +184,7 @@ type rripTrace struct {
 
 // Generate implements quick.Generator.
 func (rripTrace) Generate(r *rand.Rand, size int) reflect.Value {
-	tr := rripTrace{Sets: 64 + r.Intn(193), Ways: 2 + r.Intn(15), Bits: 2 + 2*r.Intn(2)}
+	tr := rripTrace{Sets: 64 + r.Intn(193), Ways: 2 + r.Intn(39), Bits: 2 + 2*r.Intn(2)}
 	residues := []int{0, 33, 0, 1, 2, 3, 4, 5, 6, 7}
 	for range 2 + r.Intn(6) {
 		residue := residues[r.Intn(len(residues))]
@@ -378,7 +379,7 @@ func (r *refNRU) access(bn uint64) (hit bool, evicted uint64, evicts bool) {
 }
 
 // nruTrace is a random trace of block numbers for 1 to 64 sets of 1 to
-// 16 ways, in phases whose block pools run from hitting to thrashing.
+// 40 ways, in phases whose block pools run from hitting to thrashing.
 type nruTrace struct {
 	Sets, Ways int
 	Blocks     []uint64
@@ -386,7 +387,7 @@ type nruTrace struct {
 
 // Generate implements quick.Generator.
 func (nruTrace) Generate(r *rand.Rand, size int) reflect.Value {
-	tr := nruTrace{Sets: 1 + r.Intn(64), Ways: 1 + r.Intn(16)}
+	tr := nruTrace{Sets: 1 + r.Intn(64), Ways: 1 + r.Intn(40)}
 	for range 1 + r.Intn(4) {
 		pool := 1 + r.Intn(3*tr.Sets*tr.Ways)
 		for range 100 + r.Intn(900) {

@@ -28,7 +28,11 @@ type RRIP struct {
 	bits int
 	max  uint8
 	ways int
-	rrpv []uint8
+	// width is the row width, cachesim.RowWidth(ways): rrpv holds each
+	// set's RRPVs, one byte per way, in a row of width bytes, and the
+	// bytes that pad a row to whole words stay 0.
+	width int
+	rrpv  []uint8
 }
 
 // NewRRIP returns RRIP state with an n-bit RRPV, for embedding; Reset
@@ -43,40 +47,43 @@ func NewRRIP(bits int) RRIP {
 // Reset implements cachesim.Policy: every block starts at the distant
 // RRPV.
 func (r *RRIP) Reset(sets, ways int) {
-	r.ways = ways
-	r.rrpv = make([]uint8, sets*ways)
-	for i := range r.rrpv {
-		r.rrpv[i] = r.max
+	r.ways, r.width = ways, cachesim.RowWidth(ways)
+	r.rrpv = make([]uint8, sets*r.width)
+	for s := range sets {
+		row := r.rrpv[s*r.width:]
+		for w := range ways {
+			row[w] = r.max
+		}
 	}
 }
 
 // Hit implements cachesim.Policy: hit promotion (RRIP-HP) sets the RRPV
 // to zero.
-func (r *RRIP) Hit(set, way int, _ stream.Access) { r.rrpv[set*r.ways+way] = 0 }
+func (r *RRIP) Hit(set, way int, _ stream.Access) { r.rrpv[set*r.width+way] = 0 }
 
 // Victim implements cachesim.Policy: it finds a block with RRPV == max,
 // aging the whole set in unit steps until one exists. Ties break toward
-// the minimum physical way id, as in the paper.
+// the minimum physical way id, as in the paper. Both the search and the
+// aging take eight ways per word. The padding bytes stay 0, below max,
+// so the first byte at max is one of the set's ways; and aging never
+// carries out of a byte, since it runs only when no way is at max and
+// no RRPV is ever above it.
 func (r *RRIP) Victim(set int, _ stream.Access) int {
-	base := set * r.ways
+	row := r.rrpv[set*r.width : set*r.width+r.width]
 	for {
-		for w := 0; w < r.ways; w++ {
-			if r.rrpv[base+w] == r.max {
-				return w
-			}
+		if w := cachesim.FirstByte(row, r.max); w < len(row) {
+			return w
 		}
-		for w := 0; w < r.ways; w++ {
-			r.rrpv[base+w]++
-		}
+		cachesim.IncrementBytes(row, r.ways)
 	}
 }
 
 // SetRRPV installs the re-reference prediction value of a block.
-func (r *RRIP) SetRRPV(set, way int, v uint8) { r.rrpv[set*r.ways+way] = v }
+func (r *RRIP) SetRRPV(set, way int, v uint8) { r.rrpv[set*r.width+way] = v }
 
 // RRPV exposes the current re-reference prediction value of a block, for
 // tests and analysis observers.
-func (r *RRIP) RRPV(set, way int) uint8 { return r.rrpv[set*r.ways+way] }
+func (r *RRIP) RRPV(set, way int) uint8 { return r.rrpv[set*r.width+way] }
 
 // MaxRRPV returns 2^n - 1 for the configured width.
 func (r *RRIP) MaxRRPV() uint8 { return r.max }
